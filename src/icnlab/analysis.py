@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +22,6 @@ import numpy as np
 from .core import DivergenceError, Field, Grid1D
 from .problems import Problem, ProblemKind, burgers, initial_condition
 from .schemes import SchemeConfig, integrate
-
-THREADS_ENV_VAR = "ICN_LAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -113,16 +109,44 @@ class SweepSpec:
             raise ValueError("t_final must be positive")
         if not self.cfl > 0.0:
             raise ValueError("cfl must be positive")
+        if self.dt_base is not None and not self.dt_base > 0.0:
+            raise ValueError("dt_base must be positive")
+        if self.resolutions[0] < 1:
+            raise ValueError("resolutions must be positive")
         if self.is_burgers:
             lcm = math.lcm(*self.resolutions)
             if self.reference_divisor % lcm != 0:
                 raise ValueError(
                     "reference_divisor must be a multiple of every dt divisor"
                 )
+        elif self.problem.advection_speed == 0.0:
+            raise ValueError("advection speed must be nonzero for a CFL sweep")
+        # every cell must reach t_final, so no cell fails on its step count
+        for resolution in self.resolutions:
+            steps_for(self.t_final, self.dt(resolution))
 
     @property
     def is_burgers(self) -> bool:
         return self.problem.kind is ProblemKind.BURGERS
+
+    @property
+    def base_dt(self) -> float:
+        """Burgers base time step: dt_base, or 0.5 dx^2 on the fixed grid."""
+        if self.dt_base is not None:
+            return self.dt_base
+        return 0.5 * Grid1D(self.n_cells).dx ** 2
+
+    @property
+    def reference_dt(self) -> float:
+        """Time step of the Burgers fine-step reference run."""
+        return self.base_dt / self.reference_divisor
+
+    def dt(self, resolution: int) -> float:
+        """Time step of the cells at one grid size or dt divisor."""
+        if self.is_burgers:
+            return self.base_dt / resolution
+        grid = Grid1D(resolution)
+        return self.cfl * grid.dx / abs(self.problem.advection_speed)
 
     @property
     def effective_time_averaged(self) -> bool:
@@ -141,8 +165,6 @@ def advection_sweep(
     """Grid-refinement study at fixed CFL against the exact solution."""
     if problem.kind is ProblemKind.BURGERS:
         raise ValueError("use burgers_sweep for the Burgers problem")
-    if problem.advection_speed == 0.0:
-        raise ValueError("advection speed must be nonzero for a CFL sweep")
     return SweepSpec(
         problem=problem,
         schemes=tuple(schemes),
@@ -198,23 +220,27 @@ class _MeanNorms:
 
     def __init__(self, dx: float):
         self.dx = dx
-        self.sums = np.zeros(3)
+        self.l1 = self.l2 = self.linf = 0.0
         self.count = 0
 
     def add(self, errors: np.ndarray) -> None:
-        n = _norms(errors, self.dx)
-        self.sums += (n.l1, n.l2, n.linf)
+        # the reductions of _norms, without building a NormTriple per step
+        magnitude = np.abs(errors)
+        self.l1 += self.dx * magnitude.sum()
+        self.l2 += self.dx * math.sqrt((errors * errors).sum())
+        self.linf += magnitude.max()
         self.count += 1
 
     def result(self) -> NormTriple:
-        means = self.sums / self.count
-        return NormTriple(*map(float, means))
+        return NormTriple(
+            float(self.l1 / self.count),
+            float(self.l2 / self.count),
+            float(self.linf / self.count),
+        )
 
 
 # Burgers reference trajectories are expensive relative to everything else,
-# so completed ones are kept for the lifetime of the process (read-shared,
-# written once under the lock).
-_reference_lock = threading.Lock()
+# so completed ones are kept for the lifetime of the process.
 _reference_memo: dict[tuple, list[np.ndarray]] = {}
 
 
@@ -235,9 +261,8 @@ def _reference_trajectory(
         viscosity,
         cadence,
     )
-    with _reference_lock:
-        if key in _reference_memo:
-            return _reference_memo[key]
+    if key in _reference_memo:
+        return _reference_memo[key]
     steps = steps_for(t_final, dt_fine)
     if steps % cadence != 0:
         raise ValueError("reference cadence does not divide the step count")
@@ -252,8 +277,7 @@ def _reference_trajectory(
         initial_condition(grid), SchemeConfig.icn(), problem.rhs, dt_fine,
         steps, observer=keep,
     )
-    with _reference_lock:
-        _reference_memo.setdefault(key, states)
+    _reference_memo[key] = states
     return states
 
 
@@ -271,6 +295,24 @@ def _reference_cache_path(
     return Path(cache_dir) / name
 
 
+def _read_reference(path: Path, n_cells: int) -> np.ndarray | None:
+    """Nodal values of a cached reference, or None if the file is missing,
+    has the wrong header or row count, a malformed row or a non-finite
+    value."""
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, ValueError):
+        return None
+    if len(lines) != n_cells + 1 or lines[0] != "x,u":
+        return None
+    try:
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        values = np.array([u for _, u in rows])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def burgers_reference(
     n_cells: int,
     dt_fine: float,
@@ -282,6 +324,8 @@ def burgers_reference(
 
     With a cache directory the field is persisted as a small CSV (17
     significant digits, so reloading is bit-exact) keyed by all parameters.
+    A cached file that is not a whole reference is integrated again and
+    rewritten.
     """
     grid = Grid1D(n_cells)
     if t_final == 0.0:
@@ -291,11 +335,8 @@ def burgers_reference(
         path = _reference_cache_path(
             cache_dir, n_cells, dt_fine, t_final, viscosity
         )
-        if path.exists():
-            values = [
-                float(line.split(",")[1])
-                for line in path.read_text().splitlines()[1:]
-            ]
+        values = _read_reference(path, n_cells)
+        if values is not None:
             return Field(grid, values)
     steps = steps_for(t_final, dt_fine)
     final = integrate(
@@ -318,7 +359,7 @@ def burgers_reference(
 
 def _advection_cell(spec: SweepSpec, scheme: SchemeConfig, n: int):
     grid = Grid1D(n)
-    dt = spec.cfl * grid.dx / abs(spec.problem.advection_speed)
+    dt = spec.dt(n)
     steps = steps_for(spec.t_final, dt)
     u0 = initial_condition(grid)
     nodes = grid.nodes()
@@ -338,8 +379,7 @@ def _advection_cell(spec: SweepSpec, scheme: SchemeConfig, n: int):
 def _burgers_cell(spec: SweepSpec, scheme: SchemeConfig, divisor: int,
                   reference: list[np.ndarray], sample_lcm: int):
     grid = Grid1D(spec.n_cells)
-    dt_base = spec.dt_base if spec.dt_base is not None else 0.5 * grid.dx**2
-    dt = dt_base / divisor
+    dt = spec.dt(divisor)
     steps = steps_for(spec.t_final, dt)
     stride = sample_lcm // divisor
     u0 = initial_condition(grid)
@@ -388,27 +428,22 @@ def _assemble_rows(spec: SweepSpec, cells) -> tuple[ConvergenceRow, ...]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (scheme, resolution) cell and assemble convergence tables.
 
-    A diverging cell is marked failed and the sweep continues.  Cells may
-    be evaluated concurrently (ICN_LAB_THREADS caps the pool); results are
-    assembled in a fixed order either way, so tables are deterministic.
+    A diverging cell is marked failed and the sweep continues.  Cells run
+    one after another in a fixed order, so tables are deterministic.
     """
     reference = None
     sample_lcm = None
     if spec.is_burgers:
-        grid = Grid1D(spec.n_cells)
-        dt_base = spec.dt_base if spec.dt_base is not None else 0.5 * grid.dx**2
         sample_lcm = math.lcm(*spec.resolutions)
-        cadence = spec.reference_divisor // sample_lcm
         reference = _reference_trajectory(
-            grid,
-            dt_base / spec.reference_divisor,
+            Grid1D(spec.n_cells),
+            spec.reference_dt,
             spec.t_final,
             spec.problem.viscosity,
-            cadence,
+            spec.reference_divisor // sample_lcm,
         )
 
-    def run_cell(args):
-        scheme, resolution = args
+    def run_cell(scheme: SchemeConfig, resolution: int):
         try:
             if spec.is_burgers:
                 return _burgers_cell(
@@ -418,21 +453,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except DivergenceError:
             return None
 
-    cells = [
-        (scheme, resolution)
+    tables = tuple(
+        SchemeTable(
+            scheme,
+            _assemble_rows(
+                spec, [run_cell(scheme, r) for r in spec.resolutions]
+            ),
+        )
         for scheme in spec.schemes
-        for resolution in spec.resolutions
-    ]
-    n_threads = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-
-    tables = []
-    per_scheme = len(spec.resolutions)
-    for k, scheme in enumerate(spec.schemes):
-        chunk = results[k * per_scheme:(k + 1) * per_scheme]
-        tables.append(SchemeTable(scheme, _assemble_rows(spec, chunk)))
-    return SweepResult(spec=spec, tables=tuple(tables))
+    )
+    return SweepResult(spec=spec, tables=tables)

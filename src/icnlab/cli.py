@@ -269,10 +269,8 @@ def cmd_sweep(args) -> int:
 
     if spec.is_burgers and spec.cache_dir is not None:
         # warm the persistent final-state cache alongside the sweep
-        grid = Grid1D(spec.n_cells)
-        dt_base = spec.dt_base if spec.dt_base is not None else 0.5 * grid.dx**2
         analysis.burgers_reference(
-            spec.n_cells, dt_base / spec.reference_divisor, spec.t_final,
+            spec.n_cells, spec.reference_dt, spec.t_final,
             spec.problem.viscosity, cache_dir=spec.cache_dir,
         )
     result = analysis.run_sweep(spec)

@@ -109,8 +109,11 @@ def second_derivative(u: Field, j: int, dx: float) -> float:
     ) / (dx * dx)
 
 
-# Whole-field versions of the operators above. np.roll realizes the same
-# periodic wrap, so these agree with the scalar forms bit for bit.
+# Whole-field versions of the operators above, with np.roll as the periodic
+# wrap. They agree with the scalar forms bit for bit and stay as the plain
+# statement of the operators: the closed-form stencils and the tests use them
+# as oracles. The right-hand sides use the gather forms in PeriodicShifts,
+# which give the same numbers without np.roll's per-call cost.
 
 def delta1_array(values: np.ndarray) -> np.ndarray:
     return np.roll(values, -1) - np.roll(values, 1)
@@ -131,3 +134,24 @@ def delta3_array(values: np.ndarray) -> np.ndarray:
 
 def second_derivative_array(values: np.ndarray, dx: float) -> np.ndarray:
     return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / (dx * dx)
+
+
+class PeriodicShifts:
+    """Gather indices of the periodic neighbours j + 1 and j - 1 on n nodes.
+
+    ``values[shifts.p1]`` is ``np.roll(values, -1)`` and ``values[shifts.m1]``
+    is ``np.roll(values, 1)``.  The indices are built once; each operator
+    below then costs two array gathers, with the arithmetic of its np.roll
+    form in the same order, so the two agree bit for bit.
+    """
+
+    def __init__(self, n: int):
+        j = np.arange(n)
+        wrapped = np.concatenate((j[-1:], j, j[:1]))  # nodes j = -1 .. n
+        self.m1, self.p1 = wrapped[:n], wrapped[2:]
+
+    def delta1(self, values: np.ndarray) -> np.ndarray:
+        return values[self.p1] - values[self.m1]
+
+    def second_derivative(self, values: np.ndarray, dx: float) -> np.ndarray:
+        return (values[self.p1] - 2.0 * values + values[self.m1]) / (dx * dx)

@@ -6,16 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .core import (
-    DivergenceError,
-    Field,
-    Grid1D,
-    delta1_array,
-    second_derivative_array,
-)
+from .core import DivergenceError, Field, Grid1D, PeriodicShifts
 
 
 class ProblemKind(str, Enum):
@@ -56,17 +51,30 @@ class Problem:
         v = u.values
         if not np.isfinite(v).all():
             raise DivergenceError("non-finite state")
-        dx = u.grid.dx
+        return u.with_values(self.array_rhs(u.grid)(v))
+
+    def array_rhs(self, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
+        """L on raw nodal values of ``grid``, with no finiteness check.
+
+        The neighbour indices are built here, once, so a time-stepping loop
+        calls the returned function without any per-call setup.
+        """
+        shifts = PeriodicShifts(grid.n_cells)
+        dx = grid.dx
         if self.kind is ProblemKind.LINEAR_ADVECTION:
-            out = -self.advection_speed * delta1_array(v) / (2.0 * dx)
-        elif self.kind is ProblemKind.SEMILINEAR_ADVECTION:
-            out = -delta1_array(v) / (2.0 * dx) - v * v
-        else:
+            speed = self.advection_speed
+            return lambda v: -speed * shifts.delta1(v) / (2.0 * dx)
+        if self.kind is ProblemKind.SEMILINEAR_ADVECTION:
+            return lambda v: -shifts.delta1(v) / (2.0 * dx) - v * v
+        viscosity = self.viscosity
+
+        def burgers_rhs(v: np.ndarray) -> np.ndarray:
             flux = 0.5 * v * v
-            out = -delta1_array(flux) / (2.0 * dx) + self.viscosity * (
-                second_derivative_array(v, dx)
+            return -shifts.delta1(flux) / (2.0 * dx) + viscosity * (
+                shifts.second_derivative(v, dx)
             )
-        return u.with_values(out)
+
+        return burgers_rhs
 
     def exact_solution(self, x, t: float):
         """Closed-form solution at (x, t); x may be a scalar or an array."""

@@ -1,27 +1,34 @@
 """Explicit predictor-corrector (iterated Crank-Nicolson) time steppers.
 
-Five variants over a generic right-hand-side operator L, all built from the
-same two-iteration skeleton
+Five variants over a generic right-hand-side operator L.  Every one is the
+same two-iteration step with averaging weights (w1, s, w2):
 
     predict   u~ = u + dt L(u)
-    average   u- = w u~ + (1 - w) u
-    correct   (repeat once more, then a final full-step update)
+    average   u- = w1 u~ + (1 - w1) u
+    predict   u~ = u + (s dt) L(u-)
+    average   u- = w2 u~ + (1 - w2) u
+    update    u' = u + dt L(u-)
 
-and differing only in how the averaging weights are chosen:
+and the variants differ only in the weights (SchemeConfig.weights):
 
-  icn        both weights 1/2 (the classical scheme)
-  theta      both weights theta
-  swapped    first weight theta, second weight 1 - theta
-  ga         per-iteration weights theta1 and theta2 = 1/(4 theta1), whose
-             geometric mean is 1/2; the second predictor advances by
-             2 theta1 dt to stay time-centered
-  aa         plain theta stepping with theta alternating between theta_odd
-             and 1 - theta_odd on consecutive steps (arithmetic mean 1/2)
+  icn        (1/2, 1, 1/2), the classical scheme
+  theta      (theta, 1, theta)
+  swapped    (theta, 1, 1 - theta)
+  ga         (theta1, 2 theta1, theta2) with theta2 = 1/(4 theta1): the
+             geometric mean of the averaging weights is 1/2, and the second
+             predictor advances by 2 theta1 dt to stay time-centered
+  aa         (theta, 1, theta) with theta alternating between theta_odd and
+             1 - theta_odd on consecutive steps (arithmetic mean 1/2)
 
 The ga/aa weight constraints cancel the leading first-order error term, so
-both recover second-order accuracy at theta != 1/2.  For the linear
-advection operator each stepper collapses to a closed-form seven-point
-stencil; those stencils are provided as independent oracles.
+both recover second order at theta != 1/2.  On linear advection, with
+R = a dt / (2 dx), the step is the seven-point stencil
+u' = u - R d1 u + s w2 R^2 d2 u - s w1 w2 R^3 d3 u; the ga and aa cases are
+provided as independent oracles.
+
+``integrate`` runs one private kernel on raw nodal arrays: the operator is
+resolved to its array form once per call, and finiteness is checked once
+per step.  The step_* functions are thin wrappers over the same path.
 """
 from __future__ import annotations
 
@@ -34,106 +41,41 @@ import numpy as np
 from .core import (
     DivergenceError,
     Field,
+    Grid1D,
     delta1_array,
     delta2_array,
     delta3_array,
 )
+from .problems import Problem
 
 RhsOperator = Callable[[Field], Field]
+ArrayOperator = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise DivergenceError("step diverged")
+def _kernel(
+    u: np.ndarray, f: ArrayOperator, dt: float, w1: float, s: float, w2: float
+) -> np.ndarray:
+    """One two-iteration step with weights (w1, s, w2) on raw nodal values."""
+    ut = u + dt * f(u)
+    ub = w1 * ut + (1.0 - w1) * u
+    ut = u + (s * dt) * f(ub)
+    ub = w2 * ut + (1.0 - w2) * u
+    return u + dt * f(ub)
 
 
-def step_icn(u: Field, rhs: RhsOperator, dt: float) -> Field:
-    """One step of the classical two-iteration scheme (weights 1/2)."""
-    # a blow-up is reported as DivergenceError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        un = u.values
-        ut = un + dt * rhs(u).values
-        ub = 0.5 * ut + 0.5 * un
-        ut = un + dt * rhs(u.with_values(ub)).values
-        ub = 0.5 * ut + 0.5 * un
-        out = un + dt * rhs(u.with_values(ub)).values
-    _check_finite(out)
-    return u.with_values(out)
+def _array_form(rhs: RhsOperator, grid: Grid1D) -> ArrayOperator:
+    """``rhs`` as a function of raw nodal values on ``grid``.
 
-
-def step_theta_icn(
-    u: Field,
-    rhs: RhsOperator,
-    dt: float,
-    theta: float,
-    swapped: bool = False,
-) -> Field:
-    """One weighted step; ``swapped`` flips the second averaging weight.
-
-    The step is first order unless the second weight is 1/2: its local
-    error is dt^2 (w2 - 1/2) L'(u) L(u), +(theta - 1/2) for theta and
-    -(theta - 1/2) for swapped, so the two errors mirror each other.
-
-    For theta > 1/2 the swapped scheme is weakly unstable.  On linear
-    advection its factor g = 1 - 2i beta - 4 (1 - theta) beta^2
-    + 8i theta (1 - theta) beta^3 has |g|^2 = 1 + 4 beta^2 (2 theta - 1)
-    + O(beta^4) > 1 for small beta.  At theta = 0.6 and CFL 0.5
-    (R = 1/4) the worst mode gains about 1.5% per step, so round-off grows
-    like 1.015^n: the L-infinity order at N = 1600 drops to 0.98 (theta
-    gives 1.00), at N = 3200 the linear error reaches 3e5 and the
-    semilinear run diverges.  Refinement studies of swapped must stop at
-    N = 1600.
+    A bound Problem.rhs becomes the problem's array form, with no Field and
+    no finiteness check per call.  Any other Field callable is wrapped and
+    called with a Field on ``grid``.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        un = u.values
-        ut = un + dt * rhs(u).values
-        ub = theta * ut + (1.0 - theta) * un
-        ut = un + dt * rhs(u.with_values(ub)).values
-        w = (1.0 - theta) if swapped else theta
-        ub = w * ut + (1.0 - w) * un
-        out = un + dt * rhs(u.with_values(ub)).values
-    _check_finite(out)
-    return u.with_values(out)
-
-
-def step_ga(u: Field, rhs: RhsOperator, dt: float, theta1: float) -> Field:
-    """One step with geometrically constrained weights theta1, 1/(4 theta1).
-
-    The second predictor uses the increment 2 theta1 dt so that the final
-    averaging (weight theta2) lands on the half-step time level.
-    """
-    if theta1 <= 0.0:
-        raise ValueError("invalid theta1")
-    theta2 = 1.0 / (4.0 * theta1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        un = u.values
-        ut = un + dt * rhs(u).values
-        ub = theta1 * ut + (1.0 - theta1) * un
-        ut = un + (2.0 * theta1 * dt) * rhs(u.with_values(ub)).values
-        ub = theta2 * ut + (1.0 - theta2) * un
-        out = un + dt * rhs(u.with_values(ub)).values
-    _check_finite(out)
-    return u.with_values(out)
-
-
-def step_aa(
-    u: Field,
-    rhs: RhsOperator,
-    dt: float,
-    theta_odd: float,
-    step_index: int,
-) -> Field:
-    """One alternating-weight step.
-
-    The first step of a run (step_index 0) uses theta_odd, the next uses
-    1 - theta_odd, and so on; the integrator threads step_index.
-    """
-    if not 0.0 <= theta_odd <= 1.0:
-        raise ValueError("theta_odd must lie in [0, 1]")
-    theta = theta_odd if step_index % 2 == 0 else 1.0 - theta_odd
-    return step_theta_icn(u, rhs, dt, theta)
+    problem = getattr(rhs, "__self__", None)
+    if isinstance(problem, Problem) and (
+        getattr(rhs, "__func__", None) is Problem.rhs
+    ):
+        return problem.array_rhs(grid)
+    return lambda v: rhs(Field(grid, v)).values
 
 
 def ga_linear_stencil(
@@ -268,19 +210,59 @@ class SchemeConfig:
             return f"ga({self.theta1:g})"
         return f"aa({self.theta_odd:g})"
 
+    def weights(self, step_index: int = 0) -> tuple[float, float, float]:
+        """Averaging weights (w1, s, w2) of step ``step_index`` (from 0)."""
+        v = self.variant
+        if v is SchemeVariant.ICN:
+            return (0.5, 1.0, 0.5)
+        if v is SchemeVariant.THETA_ICN:
+            return (self.theta, 1.0, self.theta)
+        if v is SchemeVariant.SWAPPED_THETA_ICN:
+            return (self.theta, 1.0, 1.0 - self.theta)
+        if v is SchemeVariant.GA:
+            return (self.theta1, 2.0 * self.theta1, self.theta2)
+        theta = self.theta_odd if step_index % 2 == 0 else self.theta_even
+        return (theta, 1.0, theta)
+
     def step(
         self, u: Field, rhs: RhsOperator, dt: float, step_index: int = 0
     ) -> Field:
-        v = self.variant
-        if v is SchemeVariant.ICN:
-            return step_icn(u, rhs, dt)
-        if v is SchemeVariant.THETA_ICN:
-            return step_theta_icn(u, rhs, dt, self.theta)
-        if v is SchemeVariant.SWAPPED_THETA_ICN:
-            return step_theta_icn(u, rhs, dt, self.theta, swapped=True)
-        if v is SchemeVariant.GA:
-            return step_ga(u, rhs, dt, self.theta1)
-        return step_aa(u, rhs, dt, self.theta_odd, step_index)
+        """One step from ``u``; step_index sets the aa parity."""
+        return _run(u, self, rhs, dt, range(step_index, step_index + 1))
+
+
+def _run(
+    u0: Field,
+    scheme: SchemeConfig,
+    rhs: RhsOperator,
+    dt: float,
+    steps: range,
+    observer: Callable[[int, Field], None] | None = None,
+) -> Field:
+    """The steps numbered ``steps`` from u0, on raw arrays through _kernel."""
+    grid = u0.grid
+    f = _array_form(rhs, grid)
+    by_parity = (scheme.weights(0), scheme.weights(1))
+    u = u0.values
+    # a blow-up is reported as DivergenceError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in steps:
+            try:
+                u = _kernel(u, f, dt, *by_parity[i % 2])
+            except DivergenceError as err:
+                # raised by a Field callable that checks its input
+                raise DivergenceError(
+                    f"step diverged at step {i}", step_index=i
+                ) from err
+            # a non-finite intermediate always reaches the step's output,
+            # so one check per step finds the step where it first appears
+            if not np.isfinite(u).all():
+                raise DivergenceError(
+                    f"step diverged at step {i}", step_index=i
+                )
+            if observer is not None:
+                observer(i, Field(grid, u))
+    return u0.with_values(u)
 
 
 def integrate(
@@ -302,14 +284,61 @@ def integrate(
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    u = u0
-    for i in range(n_steps):
-        try:
-            u = scheme.step(u, rhs, dt, step_index=i)
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"step diverged at step {i}", step_index=i
-            ) from err
-        if observer is not None:
-            observer(i, u)
-    return u
+    return _run(u0, scheme, rhs, dt, range(n_steps), observer)
+
+
+def step_icn(u: Field, rhs: RhsOperator, dt: float) -> Field:
+    """One step of the classical two-iteration scheme (weights 1/2)."""
+    return SchemeConfig.icn().step(u, rhs, dt)
+
+
+def step_theta_icn(
+    u: Field,
+    rhs: RhsOperator,
+    dt: float,
+    theta: float,
+    swapped: bool = False,
+) -> Field:
+    """One weighted step; ``swapped`` flips the second averaging weight.
+
+    The step is first order unless the second weight is 1/2: its local
+    error is dt^2 (w2 - 1/2) L'(u) L(u), +(theta - 1/2) for theta and
+    -(theta - 1/2) for swapped, so the two errors mirror each other.
+
+    For theta > 1/2 the swapped scheme is weakly unstable.  On linear
+    advection its factor g = 1 - 2i beta - 4 (1 - theta) beta^2
+    + 8i theta (1 - theta) beta^3 has |g|^2 = 1 + 4 beta^2 (2 theta - 1)
+    + O(beta^4) > 1 for small beta.  At theta = 0.6 and CFL 0.5
+    (R = 1/4) the worst mode gains about 1.5% per step, so round-off grows
+    like 1.015^n: the L-infinity order at N = 1600 drops to 0.98 (theta
+    gives 1.00), at N = 3200 the linear error reaches 3e5 and the
+    semilinear run diverges.  Refinement studies of swapped must stop at
+    N = 1600.
+    """
+    config = (SchemeConfig.swapped_theta_icn(theta) if swapped
+              else SchemeConfig.theta_icn(theta))
+    return config.step(u, rhs, dt)
+
+
+def step_ga(u: Field, rhs: RhsOperator, dt: float, theta1: float) -> Field:
+    """One step with geometrically constrained weights theta1, 1/(4 theta1).
+
+    The second predictor uses the increment 2 theta1 dt so that the final
+    averaging (weight theta2) lands on the half-step time level.
+    """
+    return SchemeConfig.ga(theta1).step(u, rhs, dt)
+
+
+def step_aa(
+    u: Field,
+    rhs: RhsOperator,
+    dt: float,
+    theta_odd: float,
+    step_index: int,
+) -> Field:
+    """One alternating-weight step.
+
+    The first step of a run (step_index 0) uses theta_odd, the next uses
+    1 - theta_odd, and so on; the integrator threads step_index.
+    """
+    return SchemeConfig.aa(theta_odd).step(u, rhs, dt, step_index)

@@ -137,6 +137,35 @@ def test_burgers_reference_cache_roundtrip(tmp_path):
     assert np.array_equal(fresh.values, cached.values)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: lines[:20],
+        lambda lines: lines[:5] + [lines[5].replace(",", "")] + lines[6:],
+        lambda lines: ["x,v"] + lines[1:],
+        lambda lines: lines[:3] + [lines[3].split(",")[0] + ",nan"]
+        + lines[4:],
+        lambda lines: lines[:3] + [lines[3] + ",1.0"] + lines[4:],
+        lambda lines: lines + lines[-1:],
+        lambda lines: [],
+    ],
+    ids=["truncated", "no-comma", "header", "nan", "three-cells",
+         "extra-row", "empty"],
+)
+def test_burgers_reference_recomputes_corrupt_cache(tmp_path, corrupt):
+    grid = Grid1D(30)
+    delta = 0.5 * grid.dx**2
+    fresh = burgers_reference(30, delta / 4.0, 0.125, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("burgers-ref-*.csv")
+    good = path.read_text()
+    lines = corrupt(good.splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    again = burgers_reference(30, delta / 4.0, 0.125, cache_dir=tmp_path)
+    assert np.array_equal(again.values, fresh.values)
+    assert path.read_text() == good
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def small_linear_spec():
     return advection_sweep(
         linear_advection(),
@@ -205,14 +234,6 @@ def test_run_sweep_burgers_divergence_marked():
     assert np.isfinite(rows[1].norms.l1)
 
 
-def test_run_sweep_thread_cap_matches_serial(monkeypatch):
-    serial = run_sweep(small_linear_spec())
-    monkeypatch.setenv("ICN_LAB_THREADS", "3")
-    threaded = run_sweep(small_linear_spec())
-    for ta, tb in zip(serial.tables, threaded.tables):
-        assert ta == tb
-
-
 def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         advection_sweep(
@@ -226,6 +247,38 @@ def test_sweep_spec_validation():
         burgers_sweep([ICN], dt_divisors=(1, 5))
     with pytest.raises(ValueError, match="use burgers_sweep"):
         advection_sweep(burgers(), [ICN])
+    with pytest.raises(ValueError, match="nonzero"):
+        advection_sweep(linear_advection(0.0), [ICN])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # dt = 0.3 dx: 0.5 / dt is not a whole number of steps
+        lambda: advection_sweep(
+            linear_advection(), [ICN], resolutions=(100, 200), cfl=0.3
+        ),
+        # reachable at divisor 2 but not at divisor 1
+        lambda: burgers_sweep(
+            [ICN], dt_divisors=(1, 2), t_final=0.0015, dt_base=0.001
+        ),
+    ],
+)
+def test_sweep_spec_rejects_unreachable_t_final(make):
+    with pytest.raises(ValueError, match="not reachable"):
+        make()
+
+
+def test_sweep_spec_rejects_bad_grids_and_steps():
+    with pytest.raises(ValueError, match="at least 4"):
+        advection_sweep(linear_advection(), [ICN], resolutions=(2, 4))
+    with pytest.raises(ValueError, match="at least 4"):
+        burgers_sweep([ICN], n_cells=3)
+    with pytest.raises(ValueError, match="positive"):
+        burgers_sweep([ICN], dt_divisors=(0, 1))
+    for dt_base in (0.0, -0.001):
+        with pytest.raises(ValueError, match="dt_base must be positive"):
+            burgers_sweep([ICN], dt_base=dt_base)
 
 
 def test_sweep_spec_time_average_defaults():

@@ -98,6 +98,12 @@ def test_run_burgers_reference_column(tmp_path):
         ["sweep", "--problem", "linear", "--schemes", "icn,nope",
          "--out", "x.csv"],
         ["sweep", "--problem", "linear", "--norms", "l3", "--out", "x.csv"],
+        # a cell whose dt does not divide t_final
+        ["sweep", "--problem", "linear", "--cfl", "0.3", "--resolutions",
+         "100,200", "--out", "x.csv"],
+        ["sweep", "--problem", "linear", "--resolutions", "2,4",
+         "--out", "x.csv"],
+        ["sweep", "--problem", "burgers", "--dt-base", "0", "--out", "x.csv"],
         ["stability", "--variant", "ga", "--theta-min", "1.0",
          "--theta-max", "0.0", "--out", "x.csv"],
         ["stability", "--variant", "ga", "--resolution", "1",
@@ -190,6 +196,37 @@ def test_sweep_burgers_cache_dir(tmp_path):
     )
     assert proc.returncode == 0
     assert len(list(cache.glob("burgers-ref-*.csv"))) == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: lines[:20],
+        lambda lines: lines[:5] + [lines[5].replace(",", "")] + lines[6:],
+    ],
+    ids=["cut-to-20-lines", "line-without-comma"],
+)
+def test_sweep_recomputes_corrupt_reference_cache(tmp_path, corrupt):
+    args = ["sweep", "--problem", "burgers", "--schemes", "icn",
+            "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+            "1,2"]
+    cache = tmp_path / "cache"
+    plain, cached = tmp_path / "plain", tmp_path / "cached"
+    plain.mkdir(), cached.mkdir()
+    assert run_cli(*args, "--out", plain / "t.csv").returncode == 0
+    assert run_cli(*args, "--cache-dir", cache,
+                   "--out", cached / "t.csv").returncode == 0
+    (path,) = cache.glob("burgers-ref-*.csv")
+    good = path.read_text()
+    lines = corrupt(good.splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    proc = run_cli(*args, "--cache-dir", cache, "--out", cached / "t.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_text() == good
+    for norm in ("l1", "l2", "linf"):
+        assert (cached / f"t_{norm}.csv").read_bytes() == (
+            plain / f"t_{norm}.csv"
+        ).read_bytes()
 
 
 def test_sweep_repeat_is_byte_identical(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from icnlab.core import (
     Field,
     Grid1D,
+    PeriodicShifts,
     delta1,
     delta1_array,
     delta2,
@@ -84,6 +85,20 @@ def test_second_derivative_scalar_matches_array():
     out = second_derivative_array(u.values, 0.1)
     for j in range(12):
         assert second_derivative(u, j, 0.1) == out[j]
+
+
+@pytest.mark.parametrize("n", [4, 5, 30, 1600])
+def test_gather_operators_match_roll_forms(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+    shifts = PeriodicShifts(n)
+    assert np.array_equal(v[shifts.p1], np.roll(v, -1))
+    assert np.array_equal(v[shifts.m1], np.roll(v, 1))
+    assert np.array_equal(shifts.delta1(v), delta1_array(v))
+    assert np.array_equal(
+        shifts.second_derivative(v, 1.0 / n),
+        second_derivative_array(v, 1.0 / n),
+    )
 
 
 @pytest.mark.parametrize("op", [delta1_array, delta2_array, delta3_array])

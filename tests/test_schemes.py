@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icnlab.core import DivergenceError, Field, Grid1D
+from icnlab.core import (
+    DivergenceError,
+    Field,
+    Grid1D,
+    delta1_array,
+    delta2_array,
+    delta3_array,
+)
 from icnlab.problems import (
     burgers,
     initial_condition,
@@ -11,6 +20,7 @@ from icnlab.problems import (
 from icnlab.schemes import (
     SchemeConfig,
     SchemeVariant,
+    _kernel,
     aa_linear_stencil,
     ga_linear_stencil,
     integrate,
@@ -138,8 +148,6 @@ def test_aa_step_matches_stencil():
 def test_swapped_step_matches_stencil(n, theta, courant):
     # weights (theta, 1, 1 - theta) give
     # u - R d1 u + (1 - theta) R^2 d2 u - theta (1 - theta) R^3 d3 u
-    from icnlab.core import delta1_array, delta2_array, delta3_array
-
     u = smooth_field(Grid1D(n), seed=n)
     staged = step_theta_icn(
         u, LINEAR.rhs, courant_dt(u.grid, courant), theta, swapped=True
@@ -158,8 +166,6 @@ def test_swapped_step_matches_stencil(n, theta, courant):
 def test_ga_stencil_constrained_coefficients():
     # with theta2 = 1/(4 theta1) the stencil is
     # u - R d1 u + (R^2/2) d2 u - (theta1 R^3 / 2) d3 u
-    from icnlab.core import delta1_array, delta2_array, delta3_array
-
     grid = Grid1D(16)
     u = smooth_field(grid, seed=6)
     rng = np.random.default_rng(7)
@@ -295,3 +301,111 @@ def test_scheme_config_step_dispatch():
     assert np.array_equal(
         config.step(u, LINEAR.rhs, dt, step_index=1).values, expected.values
     )
+
+
+FIVE_SCHEMES = [
+    SchemeConfig.icn(),
+    SchemeConfig.theta_icn(0.6),
+    SchemeConfig.swapped_theta_icn(0.6),
+    SchemeConfig.ga(0.6),
+    SchemeConfig.aa(0.3),
+]
+PROBLEMS = [linear_advection(), semilinear_advection(), burgers(0.01)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    w1=st.floats(0.0, 1.5),
+    s=st.floats(0.0, 2.5),
+    w2=st.floats(0.0, 1.5),
+    courant=st.floats(0.0, 0.6),
+    n=st.sampled_from([8, 17, 64]),
+    seed=st.integers(0, 1000),
+)
+def test_kernel_matches_unified_stencil(w1, s, w2, courant, n, seed):
+    # on u_t + a u_x = 0 with R = a dt / (2 dx), weights (w1, s, w2) give
+    # u - R d1 u + s w2 R^2 d2 u - s w1 w2 R^3 d3 u
+    u = smooth_field(Grid1D(n), seed=seed)
+    dt = courant_dt(u.grid, courant)
+    staged = _kernel(u.values, LINEAR.array_rhs(u.grid), dt, w1, s, w2)
+    v = u.values
+    stencil = (
+        v
+        - courant * delta1_array(v)
+        + s * w2 * courant**2 * delta2_array(v)
+        - s * w1 * w2 * courant**3 * delta3_array(v)
+    )
+    scale = np.abs(stencil).max()
+    assert np.abs(staged - stencil).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind.value)
+@pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
+def test_field_callable_matches_array_form(problem, scheme):
+    # a bound Problem.rhs runs as the problem's array form; any other Field
+    # callable goes through the generic adapter, with the same bits
+    grid = Grid1D(30)
+    dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
+    u0 = initial_condition(grid)
+    direct = integrate(u0, scheme, problem.rhs, dt, 7)
+    wrapped = integrate(u0, scheme, lambda u: problem.rhs(u), dt, 7)
+    assert np.array_equal(direct.values, wrapped.values)
+    one = scheme.step(u0, problem.rhs, dt, step_index=1)
+    other = scheme.step(u0, lambda u: problem.rhs(u), dt, step_index=1)
+    assert np.array_equal(one.values, other.values)
+
+
+ORACLE_WEIGHTS = {
+    "icn": lambda i: (0.5, 1.0, 0.5),
+    "theta(0.6)": lambda i: (0.6, 1.0, 0.6),
+    "swapped(0.6)": lambda i: (0.6, 1.0, 1.0 - 0.6),
+    "ga(0.6)": lambda i: (0.6, 2.0 * 0.6, 1.0 / (4.0 * 0.6)),
+    "aa(0.3)": lambda i: (0.3, 1.0, 0.3) if i % 2 == 0 else (0.7, 1.0, 0.7),
+}
+
+
+def oracle_divergence_step(problem, label, u0, dt, n_steps):
+    """First step at which any rhs input or step output is non-finite.
+
+    Checks after every rhs call (Problem.rhs rejects a non-finite input)
+    and after every step, as a step-by-step reference for integrate.
+    """
+    u = u0
+    for i in range(n_steps):
+        w1, s, w2 = ORACLE_WEIGHTS[label](i)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                un = u.values
+                ut = un + dt * problem.rhs(u).values
+                ub = w1 * ut + (1.0 - w1) * un
+                ut = un + (s * dt) * problem.rhs(u.with_values(ub)).values
+                ub = w2 * ut + (1.0 - w2) * un
+                out = un + dt * problem.rhs(u.with_values(ub)).values
+        except DivergenceError:
+            return i
+        if not np.isfinite(out).all():
+            return i
+        u = u.with_values(out)
+    return None
+
+
+@pytest.mark.parametrize(
+    "problem,n,dt",
+    [
+        (burgers(0.01), 30, 0.2),
+        (linear_advection(), 16, 0.25),
+        (semilinear_advection(), 33, 0.2),
+    ],
+    ids=["burgers", "linear", "semilinear"],
+)
+@pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
+def test_divergence_step_matches_per_call_checks(problem, n, dt, scheme):
+    u0 = initial_condition(Grid1D(n))
+    expected = oracle_divergence_step(problem, scheme.label(), u0, dt, 2000)
+    assert expected is not None
+    # the array form checks once per step; the wrapped Field callable
+    # raises from Problem.rhs's own check at the first non-finite input
+    for rhs in (problem.rhs, lambda u: problem.rhs(u)):
+        with pytest.raises(DivergenceError) as info:
+            integrate(u0, scheme, rhs, dt, 2000)
+        assert info.value.step_index == expected
