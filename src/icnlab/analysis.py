@@ -338,14 +338,20 @@ def burgers_reference(
         values = _read_reference(path, n_cells)
         if values is not None:
             return Field(grid, values)
-    steps = steps_for(t_final, dt_fine)
-    final = integrate(
-        initial_condition(grid),
-        SchemeConfig.icn(),
-        burgers(viscosity).rhs,
-        dt_fine,
-        steps,
-    )
+    # a sweep's memoized trajectory ends on the final state at any cadence
+    key = (n_cells, grid.x_min, grid.x_max, dt_fine, t_final, viscosity)
+    kept = [states[-1] for k, states in _reference_memo.items()
+            if k[:-1] == key]
+    if kept:
+        final = Field(grid, kept[0].copy())
+    else:
+        final = integrate(
+            initial_condition(grid),
+            SchemeConfig.icn(),
+            burgers(viscosity).rhs,
+            dt_fine,
+            steps_for(t_final, dt_fine),
+        )
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["x,u"]

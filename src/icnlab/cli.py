@@ -13,8 +13,8 @@ from pathlib import Path
 from . import analysis, output, problems
 from .analysis import NORM_KEYS, advection_sweep, burgers_sweep, steps_for
 from .core import DivergenceError, Grid1D
-from .problems import ProblemKind, initial_condition
-from .schemes import SchemeConfig, SchemeVariant, integrate
+from .problems import initial_condition
+from .schemes import PARAMETER, SchemeConfig, SchemeVariant, integrate
 from .stability import scan_region
 
 EXIT_OK = 0
@@ -22,6 +22,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_THETA = 0.6
+# the flag of each scheme parameter (schemes.PARAMETER), also its args name
+THETA_FLAGS = {"theta": "--theta", "theta1": "--theta1",
+               "theta_odd": "--theta-o"}
 ADVECTION_RESOLUTIONS = (100, 200, 400, 800, 1600)
 BURGERS_DIVISORS = (1, 2, 4, 8)
 BURGERS_N = 30
@@ -58,9 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dt", type=float, default=None,
                      help="burgers: time step (default 0.5 dx^2)")
     run.add_argument("--t-final", type=float, default=1.0)
-    run.add_argument("--theta", type=float, default=None)
-    run.add_argument("--theta1", type=float, default=None)
-    run.add_argument("--theta-o", type=float, default=None)
     run.add_argument("--out", required=True, type=Path)
     run.set_defaults(func=cmd_run)
 
@@ -82,15 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{BURGERS_T_FINAL} for burgers")
     sweep.add_argument("--norms", default="l1,l2,linf")
     sweep.add_argument("--format", default="csv", choices=["csv", "markdown"])
-    sweep.add_argument("--theta", type=float, default=None)
-    sweep.add_argument("--theta1", type=float, default=None)
-    sweep.add_argument("--theta-o", type=float, default=None)
     sweep.add_argument("--cache-dir", type=Path, default=None,
                        help="burgers reference cache directory")
     sweep.add_argument("--out", required=True, type=Path,
                        help="output path; the norm name is inserted before "
                             "the extension, one file per norm")
     sweep.set_defaults(func=cmd_sweep)
+    for command in (run, sweep):
+        for name, flag in THETA_FLAGS.items():
+            command.add_argument(flag, dest=name, type=float, default=None)
 
     stab = sub.add_parser("stability", help="amplification-factor map")
     stab.add_argument("--variant", required=True, choices=["ga", "aa"])
@@ -107,62 +107,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scheme_from_flags(variant: str, args) -> SchemeConfig:
-    """Build one scheme config, rejecting flags the variant cannot use."""
-    relevant = {
-        "icn": None,
-        "theta": "--theta",
-        "swapped": "--theta",
-        "ga": "--theta1",
-        "aa": "--theta-o",
-    }[variant]
-    supplied = {
-        "--theta": args.theta,
-        "--theta1": args.theta1,
-        "--theta-o": args.theta_o,
-    }
-    for flag, value in supplied.items():
-        if value is not None and flag != relevant:
-            raise UsageError(f"{flag} does not apply to scheme '{variant}'")
-    value = DEFAULT_THETA if relevant is None else (
-        supplied[relevant] if supplied[relevant] is not None
-        else DEFAULT_THETA
-    )
+def _schemes(names: str, args) -> list[SchemeConfig]:
+    """Configs for comma-separated scheme names, each taking its parameter
+    from its flag or DEFAULT_THETA.  A theta flag that no listed scheme
+    takes is a usage error."""
     try:
-        if variant == "icn":
-            return SchemeConfig.icn()
-        if variant == "theta":
-            return SchemeConfig.theta_icn(value)
-        if variant == "swapped":
-            return SchemeConfig.swapped_theta_icn(value)
-        if variant == "ga":
-            return SchemeConfig.ga(value)
-        return SchemeConfig.aa(value)
+        variants = [SchemeVariant(name.strip()) for name in names.split(",")]
     except ValueError as err:
-        raise UsageError(f"{relevant}: {err}") from err
-
-
-def _schemes_from_flags(names: str, args) -> list[SchemeConfig]:
+        raise UsageError(f"--schemes: {err}") from err
+    taken = {PARAMETER[v] for v in variants}
+    for name, flag in THETA_FLAGS.items():
+        if getattr(args, name) is not None and name not in taken:
+            raise UsageError(f"{flag} does not apply to scheme(s) '{names}'")
     configs = []
-    for name in names.split(","):
-        name = name.strip()
-        if name not in [v.value for v in SchemeVariant]:
-            raise UsageError(f"--schemes: unknown scheme '{name}'")
-        theta_flags = {
-            "icn": None, "theta": args.theta, "swapped": args.theta,
-            "ga": args.theta1, "aa": args.theta_o,
-        }[name]
-        value = theta_flags if theta_flags is not None else DEFAULT_THETA
+    for variant in variants:
+        name = PARAMETER[variant]
+        if name is None:
+            configs.append(SchemeConfig(variant))
+            continue
+        value = getattr(args, name)
         try:
-            configs.append({
-                "icn": lambda v: SchemeConfig.icn(),
-                "theta": SchemeConfig.theta_icn,
-                "swapped": SchemeConfig.swapped_theta_icn,
-                "ga": SchemeConfig.ga,
-                "aa": SchemeConfig.aa,
-            }[name](value))
+            configs.append(SchemeConfig(
+                variant, **{name: DEFAULT_THETA if value is None else value}
+            ))
         except ValueError as err:
-            raise UsageError(f"--schemes '{name}': {err}") from err
+            raise UsageError(f"{THETA_FLAGS[name]}: {err}") from err
     return configs
 
 
@@ -180,7 +149,7 @@ def _run_problem(args):
 
 def cmd_run(args) -> int:
     problem = _run_problem(args)
-    scheme = _scheme_from_flags(args.scheme, args)
+    (scheme,) = _schemes(args.scheme, args)
     if args.t_final < 0.0:
         raise UsageError("--t-final must be non-negative")
     try:
@@ -218,7 +187,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    schemes = _schemes_from_flags(args.schemes, args)
+    schemes = _schemes(args.schemes, args)
     norms = [n.strip() for n in args.norms.split(",")]
     for n in norms:
         if n not in NORM_KEYS:
@@ -267,12 +236,13 @@ def cmd_sweep(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
 
-    if spec.is_burgers and spec.cache_dir is not None:
-        # warm the persistent final-state cache alongside the sweep
-        analysis.burgers_reference(
-            spec.n_cells, spec.reference_dt, spec.t_final,
-            spec.problem.viscosity, cache_dir=spec.cache_dir,
-        )
+    persist = spec.is_burgers and spec.cache_dir is not None
+    if persist:
+        try:
+            Path(spec.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise UsageError(f"--cache-dir: {err}") from err
+
     result = analysis.run_sweep(spec)
     render = output.sweep_csv if args.format == "csv" else output.sweep_markdown
     extension = ".csv" if args.format == "csv" else ".md"
@@ -280,6 +250,13 @@ def cmd_sweep(args) -> int:
         suffix = args.out.suffix or extension
         path = args.out.with_name(f"{args.out.stem}_{norm}{suffix}")
         output.write_text(path, render(result, norm))
+    if persist:
+        # after the tables, so a failed write loses no table; the sweep's
+        # memoized trajectory serves the final state
+        analysis.burgers_reference(
+            spec.n_cells, spec.reference_dt, spec.t_final,
+            spec.problem.viscosity, cache_dir=spec.cache_dir,
+        )
     return EXIT_OK
 
 
@@ -306,6 +283,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # fail before any work, not after a whole sweep
+        for path in (args.out, getattr(args, "pgm", None)):
+            if path is not None and not path.parent.is_dir():
+                raise UsageError(f"no directory {str(path.parent)!r} "
+                                 f"for {path.name}")
         return args.func(args)
     except UsageError as err:
         print(f"icnlab: error: {err}", file=sys.stderr)

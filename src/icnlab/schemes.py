@@ -21,10 +21,14 @@ and the variants differ only in the weights (SchemeConfig.weights):
              1 - theta_odd on consecutive steps (arithmetic mean 1/2)
 
 The ga/aa weight constraints cancel the leading first-order error term, so
-both recover second order at theta != 1/2.  On linear advection, with
-R = a dt / (2 dx), the step is the seven-point stencil
-u' = u - R d1 u + s w2 R^2 d2 u - s w1 w2 R^3 d3 u; the ga and aa cases are
-provided as independent oracles.
+both recover second order at theta != 1/2.  On linear advection u_t + a u_x
+= 0, with R = a dt / (2 dx), c2 = s w2 and c3 = s w1 w2, every variant's
+step is the seven-point stencil
+
+    u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u        (linear_stencil)
+
+whose factor on a Fourier mode, with beta = R sin(k dx), is
+g = 1 - 2i beta - 4 c2 beta^2 + 8i c3 beta^3 (stability.amplification).
 
 ``integrate`` runs one private kernel on raw nodal arrays: the operator is
 resolved to its array form once per call, and finiteness is checked once
@@ -78,46 +82,38 @@ def _array_form(rhs: RhsOperator, grid: Grid1D) -> ArrayOperator:
     return lambda v: rhs(Field(grid, v)).values
 
 
+def linear_stencil(
+    u: Field, courant: float, w1: float, s: float, w2: float
+) -> Field:
+    """The step of weights (w1, s, w2) on u_t + a u_x = 0 in closed form,
+    R = a dt / (2 dx): u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u."""
+    v = u.values
+    c2 = s * w2 * courant * courant
+    c3 = s * w1 * w2 * courant * courant * courant
+    out = (
+        v
+        - courant * delta1_array(v)
+        + c2 * delta2_array(v)
+        - c3 * delta3_array(v)
+    )
+    return u.with_values(out)
+
+
 def ga_linear_stencil(
     u: Field, courant: float, theta1: float, theta2: float
 ) -> Field:
-    """Closed-form one-step update for u_t + a u_x = 0, R = a dt / (2 dx).
-
-    u' = u - R d1 u + 2 t1 t2 R^2 d2 u - 2 t1^2 t2 R^3 d3 u, equivalent to
-    step_ga on the linear advection operator when theta2 = 1/(4 theta1).
-    """
+    """The ga step, weights (theta1, 2 theta1, theta2), as a stencil;
+    equal to step_ga on linear advection when theta2 = 1/(4 theta1)."""
     if theta1 <= 0.0 or theta2 <= 0.0:
         raise ValueError("stencil weights must be positive")
-    v = u.values
-    c2 = 2.0 * theta1 * theta2 * courant * courant
-    c3 = 2.0 * theta1 * theta1 * theta2 * courant * courant * courant
-    out = (
-        v
-        - courant * delta1_array(v)
-        + c2 * delta2_array(v)
-        - c3 * delta3_array(v)
-    )
-    return u.with_values(out)
+    return linear_stencil(u, courant, theta1, 2.0 * theta1, theta2)
 
 
 def aa_linear_stencil(u: Field, courant: float, theta: float) -> Field:
-    """Closed-form single (odd-parity) step for linear advection.
-
-    u' = u - R d1 u + t R^2 d2 u - t^2 R^3 d3 u, equivalent to one
-    unswapped weighted step with weight theta.
-    """
+    """One aa step of weight theta, weights (theta, 1, theta), as a stencil."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    v = u.values
-    c2 = theta * courant * courant
-    c3 = theta * theta * courant * courant * courant
-    out = (
-        v
-        - courant * delta1_array(v)
-        + c2 * delta2_array(v)
-        - c3 * delta3_array(v)
-    )
-    return u.with_values(out)
+    return linear_stencil(u, courant, theta, 1.0, theta)
 
 
 class SchemeVariant(str, Enum):
@@ -126,6 +122,16 @@ class SchemeVariant(str, Enum):
     SWAPPED_THETA_ICN = "swapped"
     GA = "ga"
     AA = "aa"
+
+
+# The one weight parameter each variant takes (a SchemeConfig field name).
+PARAMETER: dict[SchemeVariant, str | None] = {
+    SchemeVariant.ICN: None,
+    SchemeVariant.THETA_ICN: "theta",
+    SchemeVariant.SWAPPED_THETA_ICN: "theta",
+    SchemeVariant.GA: "theta1",
+    SchemeVariant.AA: "theta_odd",
+}
 
 
 @dataclass(frozen=True)
@@ -143,27 +149,17 @@ class SchemeConfig:
     theta_odd: float | None = None
 
     def __post_init__(self):
-        v = self.variant
-        needs = {
-            SchemeVariant.ICN: (),
-            SchemeVariant.THETA_ICN: ("theta",),
-            SchemeVariant.SWAPPED_THETA_ICN: ("theta",),
-            SchemeVariant.GA: ("theta1",),
-            SchemeVariant.AA: ("theta_odd",),
-        }[v]
         for name in ("theta", "theta1", "theta_odd"):
-            value = getattr(self, name)
-            if name in needs:
-                if value is None:
-                    raise ValueError(f"{v.value} scheme requires {name}")
-            elif value is not None:
-                raise ValueError(f"{v.value} scheme does not take {name}")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+            given = getattr(self, name) is not None
+            if given != (name == PARAMETER[self.variant]):
+                verb = "does not take" if given else "requires"
+                raise ValueError(f"{self.variant.value} scheme {verb} {name}")
         if self.theta1 is not None and self.theta1 <= 0.0:
             raise ValueError("invalid theta1")
-        if self.theta_odd is not None and not 0.0 <= self.theta_odd <= 1.0:
-            raise ValueError("theta_odd must lie in [0, 1]")
+        for name in ("theta", "theta_odd"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
     @classmethod
     def icn(cls) -> "SchemeConfig":
@@ -198,17 +194,11 @@ class SchemeConfig:
         return 1.0 - self.theta_odd
 
     def label(self) -> str:
-        """Short deterministic tag used in table output."""
-        v = self.variant
-        if v is SchemeVariant.ICN:
-            return "icn"
-        if v is SchemeVariant.THETA_ICN:
-            return f"theta({self.theta:g})"
-        if v is SchemeVariant.SWAPPED_THETA_ICN:
-            return f"swapped({self.theta:g})"
-        if v is SchemeVariant.GA:
-            return f"ga({self.theta1:g})"
-        return f"aa({self.theta_odd:g})"
+        """Short deterministic tag used in table output, e.g. ga(0.6)."""
+        name = PARAMETER[self.variant]
+        if name is None:
+            return self.variant.value
+        return f"{self.variant.value}({getattr(self, name):g})"
 
     def weights(self, step_index: int = 0) -> tuple[float, float, float]:
         """Averaging weights (w1, s, w2) of step ``step_index`` (from 0)."""

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from icnlab import analysis
 from icnlab.cli import main
 
 
@@ -108,10 +109,30 @@ def test_run_burgers_reference_column(tmp_path):
          "--theta-max", "0.0", "--out", "x.csv"],
         ["stability", "--variant", "ga", "--resolution", "1",
          "--out", "x.csv"],
+        # a theta flag that no listed scheme takes, as run rejects it
+        ["sweep", "--problem", "linear", "--schemes", "icn", "--theta1",
+         "0.7", "--resolutions", "100", "--norms", "l1", "--out", "s.csv"],
+        ["sweep", "--problem", "linear", "--schemes", "theta,ga",
+         "--theta-o", "0.7", "--resolutions", "100", "--out", "s.csv"],
+        # an output path in a directory that does not exist
+        ["run", "--problem", "linear", "--scheme", "icn", "--n", "8",
+         "--t-final", "0", "--out", "missing/x.csv"],
+        ["sweep", "--problem", "linear", "--schemes", "icn",
+         "--resolutions", "100", "--out", "missing/x.csv"],
+        ["stability", "--variant", "ga", "--resolution", "5",
+         "--out", "missing/x.csv"],
+        ["stability", "--variant", "ga", "--resolution", "5",
+         "--out", "x.csv", "--pgm", "missing/x.pgm"],
+        # a reference cache directory that is an existing file
+        ["sweep", "--problem", "burgers", "--schemes", "icn", "--dt-base",
+         "0.001", "--t-final", "0.004", "--resolutions", "1", "--cache-dir",
+         "file.txt", "--out", "s.csv"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, args):
-    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    (tmp_path / "file.txt").write_text("")
+    args = [str(tmp_path / a) if a.endswith((".csv", ".pgm", ".txt")) else a
+            for a in args]
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.strip()
@@ -196,6 +217,41 @@ def test_sweep_burgers_cache_dir(tmp_path):
     )
     assert proc.returncode == 0
     assert len(list(cache.glob("burgers-ref-*.csv"))) == 1
+
+
+def test_sweep_cache_dir_integrates_reference_once(tmp_path, monkeypatch):
+    # per command: one reference trajectory and one run per cell; the
+    # cached final state is taken from the trajectory, never integrated
+    calls = []
+    integrate = analysis.integrate
+
+    def counting(u0, scheme, rhs, dt, n_steps, observer=None):
+        calls.append(dt)
+        return integrate(u0, scheme, rhs, dt, n_steps, observer)
+
+    monkeypatch.setattr(analysis, "integrate", counting)
+    args = ["sweep", "--problem", "burgers", "--schemes", "icn",
+            "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+            "1,2", "--norms", "l1", "--cache-dir", str(tmp_path / "cache")]
+    for run in ("first", "rerun"):
+        analysis._reference_memo.clear()
+        calls.clear()
+        assert main(args + ["--out", str(tmp_path / f"{run}.csv")]) == 0
+        assert sorted(calls) == [0.001 / 32, 0.001 / 2, 0.001], run
+        # the trajectory keeps only the states the finest cell samples
+        assert [len(s) for s in analysis._reference_memo.values()] == [8]
+    assert (tmp_path / "first_l1.csv").read_bytes() == (
+        tmp_path / "rerun_l1.csv"
+    ).read_bytes()
+
+
+def test_run_burgers_keeps_no_reference_trajectory(tmp_path):
+    # the run command integrates its reference once, in O(N) memory
+    analysis._reference_memo.clear()
+    assert main(["run", "--problem", "burgers", "--scheme", "icn", "--n",
+                 "8", "--t-final", "0.0625", "--out",
+                 str(tmp_path / "r.csv")]) == 0
+    assert analysis._reference_memo == {}
 
 
 @pytest.mark.parametrize(

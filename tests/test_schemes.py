@@ -196,6 +196,16 @@ def test_stencils_at_zero_courant():
     assert np.array_equal(aa_linear_stencil(u, 0.0, 0.6).values, u.values)
 
 
+def test_stencil_wrappers_reject_invalid_weights():
+    u = smooth_field(Grid1D(8), seed=9)
+    for theta1, theta2 in ((0.0, 0.5), (0.5, -1.0)):
+        with pytest.raises(ValueError):
+            ga_linear_stencil(u, 0.3, theta1, theta2)
+    for theta in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            aa_linear_stencil(u, 0.3, theta)
+
+
 def test_stencil_preserves_constants():
     u = Field(Grid1D(8), np.full(8, 1.3))
     out = aa_linear_stencil(u, 0.4, 0.7)
@@ -311,6 +321,16 @@ FIVE_SCHEMES = [
     SchemeConfig.aa(0.3),
 ]
 PROBLEMS = [linear_advection(), semilinear_advection(), burgers(0.01)]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind.value)
+def test_ga_half_step_equals_icn_bitwise(problem):
+    # ga(1/2) has the icn weights (1/2, 1, 1/2) exactly
+    grid = Grid1D(30)
+    u = initial_condition(grid)
+    dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
+    ga = step_ga(u, problem.rhs, dt, 0.5)
+    assert ga.values.tobytes() == step_icn(u, problem.rhs, dt).values.tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

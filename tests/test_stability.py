@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icnlab.core import Grid1D
+from icnlab.problems import linear_advection
+from icnlab.schemes import SchemeConfig, _kernel
 from icnlab.stability import (
     STABILITY_TOLERANCE,
+    amplification,
     g_aa_composed,
     g_ga,
     g_theta_step,
@@ -136,3 +142,52 @@ def test_stable_mask_threshold():
     assert np.array_equal(
         scan.stable_mask, scan.modulus <= 1.0 + STABILITY_TOLERANCE
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    theta=st.floats(0.05, 0.95),
+    courant=st.floats(0.05, 0.6),
+    n=st.sampled_from([8, 17, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_step_dft_matches_amplification(theta, courant, n, seed):
+    # empirical von Neumann check: mode m of one kernel step on random data
+    # grows by g at beta = R sin(2 pi m / N), with (c2, c3) = (s w2, s w1 w2)
+    grid = Grid1D(n)
+    problem = linear_advection()
+    dt = 2.0 * courant * grid.dx / problem.advection_speed
+    u = np.random.default_rng(seed).standard_normal(n)
+    beta = courant * np.sin(2.0 * np.pi * np.arange(n) / n)
+    aa = SchemeConfig.aa(theta)
+    weights = [
+        SchemeConfig.icn().weights(),
+        SchemeConfig.theta_icn(theta).weights(),
+        SchemeConfig.swapped_theta_icn(theta).weights(),
+        SchemeConfig.ga(theta).weights(),
+        aa.weights(0),
+        aa.weights(1),
+    ]
+    for w1, s, w2 in weights:
+        step = _kernel(u, problem.array_rhs(grid), dt, w1, s, w2)
+        ratio = np.fft.fft(step) / np.fft.fft(u)
+        re, im = amplification(s * w2, s * w1 * w2, beta)
+        assert np.abs(ratio - (re + 1j * im)).max() <= 1e-12, (w1, s, w2)
+
+
+@pytest.mark.parametrize(
+    "theta_range, beta_range, resolution",
+    [((0.0, 1.0), (0.0, 1.2), 41), ((0.15, 1.35), (0.3, 0.95), 23)],
+    ids=["default-41", "asymmetric-23"],
+)
+@pytest.mark.parametrize("variant, point", [("ga", g_ga), ("aa", g_aa_composed)])
+def test_scan_matches_scalar_factors_bitwise(
+    variant, point, theta_range, beta_range, resolution
+):
+    scan = scan_region(variant, theta_range, beta_range, resolution)
+    expected = np.array([
+        [point(theta, beta).modulus for theta in scan.theta_axis]
+        for beta in scan.beta_axis
+    ])
+    assert scan.modulus.tobytes() == expected.tobytes()
+
