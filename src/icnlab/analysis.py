@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DivergenceError, Field, Grid1D
+from .core import Field, Grid1D
 from .problems import Problem, ProblemKind, burgers, initial_condition
-from .schemes import SchemeConfig, integrate
+from .schemes import SchemeConfig, _run, integrate
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,10 @@ def steps_for(t_final: float, dt: float) -> int:
     return steps
 
 
+# The Burgers reference runs ICN at this fraction of the base time step.
+REFERENCE_DIVISOR = 32
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One convergence study: problem, schemes, and a refinement axis.
@@ -90,7 +94,7 @@ class SweepSpec:
     cfl: float = 0.5
     n_cells: int = 30
     dt_base: float | None = None
-    reference_divisor: int = 32
+    reference_divisor: int = REFERENCE_DIVISOR
     time_averaged: bool | None = None
     cache_dir: str | Path | None = None
 
@@ -201,6 +205,8 @@ class ConvergenceRow:
     norms: NormTriple | None
     orders: tuple[float, float, float] | None
     failed: bool = False
+    # index of the first step that was not finite, for a failed cell
+    diverged_at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -216,26 +222,28 @@ class SweepResult:
 
 
 class _MeanNorms:
-    """Running mean of the three norms over the states visited by a run."""
+    """Running mean of the three norms of each row over the states visited
+    by a batched run."""
 
-    def __init__(self, dx: float):
+    def __init__(self, dx: float, rows: int):
         self.dx = dx
-        self.l1 = self.l2 = self.linf = 0.0
+        self.l1, self.l2, self.linf = np.zeros((3, rows))
         self.count = 0
 
     def add(self, errors: np.ndarray) -> None:
-        # the reductions of _norms, without building a NormTriple per step
+        # the reductions of _norms, row by row: a reduction along the last
+        # axis of (K, N) equals the reduction of each (N,) row bit for bit
         magnitude = np.abs(errors)
-        self.l1 += self.dx * magnitude.sum()
-        self.l2 += self.dx * math.sqrt((errors * errors).sum())
-        self.linf += magnitude.max()
+        self.l1 += self.dx * magnitude.sum(axis=-1)
+        self.l2 += self.dx * np.sqrt((errors * errors).sum(axis=-1))
+        self.linf += magnitude.max(axis=-1)
         self.count += 1
 
-    def result(self) -> NormTriple:
+    def result(self, row: int) -> NormTriple:
         return NormTriple(
-            float(self.l1 / self.count),
-            float(self.l2 / self.count),
-            float(self.linf / self.count),
+            float(self.l1[row] / self.count),
+            float(self.l2[row] / self.count),
+            float(self.linf[row] / self.count),
         )
 
 
@@ -363,49 +371,60 @@ def burgers_reference(
     return final
 
 
-def _advection_cell(spec: SweepSpec, scheme: SchemeConfig, n: int):
-    grid = Grid1D(n)
-    dt = spec.dt(n)
+def _resolution_cells(
+    spec: SweepSpec,
+    resolution: int,
+    reference: list[np.ndarray] | None,
+    sample_lcm: int | None,
+) -> list[tuple[NormTriple | None, int | None]]:
+    """Norms and first non-finite step of every scheme at one resolution.
+
+    The schemes share the grid and dt here, so they run together as the
+    rows of one (K, N) state; a diverged row has no norms.
+    """
+    grid = Grid1D(spec.n_cells if spec.is_burgers else resolution)
+    dt = spec.dt(resolution)
     steps = steps_for(spec.t_final, dt)
-    u0 = initial_condition(grid)
-    nodes = grid.nodes()
+    rows = len(spec.schemes)
+    u0 = np.tile(initial_condition(grid).values, (rows, 1))
+    f = spec.problem.array_rhs(grid, rows)
+    if spec.is_burgers:
+        stride = sample_lcm // resolution
+
+        def target(i: int) -> np.ndarray:
+            return reference[(i + 1) * stride - 1]
+
+        final_target = target(steps - 1)
+    else:
+        nodes = grid.nodes()
+
+        def target(i: int) -> np.ndarray:
+            return spec.problem.exact_solution(nodes, (i + 1) * dt)
+
+        final_target = spec.problem.exact_solution(nodes, spec.t_final)
+    mean = _MeanNorms(grid.dx, rows)
     if spec.effective_time_averaged:
-        mean = _MeanNorms(grid.dx)
+        def observe(i: int, u: np.ndarray) -> None:
+            mean.add(u - target(i))
 
-        def observe(i: int, state: Field) -> None:
-            exact = spec.problem.exact_solution(nodes, (i + 1) * dt)
-            mean.add(state.values - exact)
-
-        integrate(u0, scheme, spec.problem.rhs, dt, steps, observer=observe)
-        return mean.result()
-    final = integrate(u0, scheme, spec.problem.rhs, dt, steps)
-    return error_norms(final, spec.problem.exact_field(grid, spec.t_final))
-
-
-def _burgers_cell(spec: SweepSpec, scheme: SchemeConfig, divisor: int,
-                  reference: list[np.ndarray], sample_lcm: int):
-    grid = Grid1D(spec.n_cells)
-    dt = spec.dt(divisor)
-    steps = steps_for(spec.t_final, dt)
-    stride = sample_lcm // divisor
-    u0 = initial_condition(grid)
-    if spec.effective_time_averaged:
-        mean = _MeanNorms(grid.dx)
-
-        def observe(i: int, state: Field) -> None:
-            mean.add(state.values - reference[(i + 1) * stride - 1])
-
-        integrate(u0, scheme, spec.problem.rhs, dt, steps, observer=observe)
-        return mean.result()
-    final = integrate(u0, scheme, spec.problem.rhs, dt, steps)
-    return _norms(final.values - reference[steps * stride - 1], grid.dx)
+        _, diverged_at = _run(u0, spec.schemes, f, dt, range(steps), observe)
+    else:
+        # the snapshot is the mean over the one final state
+        final, diverged_at = _run(u0, spec.schemes, f, dt, range(steps))
+        # diverged rows hold inf and nan; their norms are dropped below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean.add(final - final_target)
+    return [
+        (None, int(step)) if step >= 0 else (mean.result(k), None)
+        for k, step in enumerate(diverged_at)
+    ]
 
 
 def _assemble_rows(spec: SweepSpec, cells) -> tuple[ConvergenceRow, ...]:
     rows = []
     previous: NormTriple | None = None
     previous_label: int | None = None
-    for label, norms in zip(spec.resolutions, cells):
+    for label, (norms, diverged_at) in zip(spec.resolutions, cells):
         orders = None
         if (
             norms is not None
@@ -424,6 +443,7 @@ def _assemble_rows(spec: SweepSpec, cells) -> tuple[ConvergenceRow, ...]:
                 norms=norms,
                 orders=orders,
                 failed=norms is None,
+                diverged_at=diverged_at,
             )
         )
         previous = norms
@@ -434,8 +454,10 @@ def _assemble_rows(spec: SweepSpec, cells) -> tuple[ConvergenceRow, ...]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (scheme, resolution) cell and assemble convergence tables.
 
-    A diverging cell is marked failed and the sweep continues.  Cells run
-    one after another in a fixed order, so tables are deterministic.
+    The schemes of one resolution run as one batch.  A diverging cell is
+    marked failed, with the step where it stopped being finite, and the
+    sweep continues.  Batches run one after another in a fixed order, so
+    tables are deterministic.
     """
     reference = None
     sample_lcm = None
@@ -448,24 +470,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             spec.problem.viscosity,
             spec.reference_divisor // sample_lcm,
         )
-
-    def run_cell(scheme: SchemeConfig, resolution: int):
-        try:
-            if spec.is_burgers:
-                return _burgers_cell(
-                    spec, scheme, resolution, reference, sample_lcm
-                )
-            return _advection_cell(spec, scheme, resolution)
-        except DivergenceError:
-            return None
-
+    by_resolution = [
+        _resolution_cells(spec, r, reference, sample_lcm)
+        for r in spec.resolutions
+    ]
     tables = tuple(
         SchemeTable(
             scheme,
-            _assemble_rows(
-                spec, [run_cell(scheme, r) for r in spec.resolutions]
-            ),
+            _assemble_rows(spec, [cells[k] for cells in by_resolution]),
         )
-        for scheme in spec.schemes
+        for k, scheme in enumerate(spec.schemes)
     )
     return SweepResult(spec=spec, tables=tables)

@@ -176,7 +176,8 @@ def cmd_run(args) -> int:
         delta = 0.5 * grid.dx**2
         try:
             reference = analysis.burgers_reference(
-                args.n, delta / 32.0, args.t_final, problem.viscosity
+                args.n, delta / analysis.REFERENCE_DIVISOR, args.t_final,
+                problem.viscosity,
             )
         except ValueError as err:
             raise UsageError(f"--t-final: {err}") from err

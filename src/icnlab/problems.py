@@ -53,13 +53,17 @@ class Problem:
             raise DivergenceError("non-finite state")
         return u.with_values(self.array_rhs(u.grid)(v))
 
-    def array_rhs(self, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
+    def array_rhs(
+        self, grid: Grid1D, rows: int | None = None
+    ) -> Callable[[np.ndarray], np.ndarray]:
         """L on raw nodal values of ``grid``, with no finiteness check.
 
-        The neighbour indices are built here, once, so a time-stepping loop
-        calls the returned function without any per-call setup.
+        The returned function takes values of shape (N,) or, with ``rows``,
+        (rows, N), and applies L to each row.  The neighbour indices are
+        built here, once, so a time-stepping loop calls it without any
+        per-call setup.
         """
-        shifts = PeriodicShifts(grid.n_cells)
+        shifts = PeriodicShifts(grid.n_cells, rows)
         dx = grid.dx
         if self.kind is ProblemKind.LINEAR_ADVECTION:
             speed = self.advection_speed

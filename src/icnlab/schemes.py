@@ -30,15 +30,21 @@ step is the seven-point stencil
 whose factor on a Fourier mode, with beta = R sin(k dx), is
 g = 1 - 2i beta - 4 c2 beta^2 + 8i c3 beta^3 (stability.amplification).
 
-``integrate`` runs one private kernel on raw nodal arrays: the operator is
-resolved to its array form once per call, and finiteness is checked once
-per step.  The step_* functions are thin wrappers over the same path.
+One loop, ``_run``, advances the rows of a (K, N) state on raw nodal
+arrays, row k by its own scheme: each weight is a (K, 1) column per step
+parity, so the schemes that share a grid and dt (a sweep resolution) run as
+one array, and an aa row flips its weight each step.  The operator is
+resolved to its array form once per run, and finiteness is checked once
+per step; a row that stops being finite is recorded with the step where it
+did, and the other rows carry on.  ``integrate``, SchemeConfig.step and the
+step_* functions are its one-row case, and raise DivergenceError with that
+step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -218,10 +224,62 @@ class SchemeConfig:
         self, u: Field, rhs: RhsOperator, dt: float, step_index: int = 0
     ) -> Field:
         """One step from ``u``; step_index sets the aa parity."""
-        return _run(u, self, rhs, dt, range(step_index, step_index + 1))
+        return _run_one(u, self, rhs, dt, range(step_index, step_index + 1))
 
 
 def _run(
+    u: np.ndarray,
+    schemes: Sequence[SchemeConfig],
+    f: ArrayOperator,
+    dt: float,
+    steps: range,
+    observer: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The steps numbered ``steps`` from u, row k by schemes[k], through
+    _kernel.
+
+    ``u`` is one row of shape (N,) with one scheme, or K rows of shape
+    (K, N) with K schemes, and ``f`` acts on that shape.  Each weight is a
+    (K, 1) column per step parity, so every row takes its own scheme's
+    weights and an aa row flips its weight each step.  ``observer(i, u)``
+    sees all rows after step i.
+
+    Returns the final state and, per row, the index of the first step whose
+    output is not finite, or -1 for a row that stayed finite.  Every
+    operation acts within a row, so a row that stops being finite leaves
+    the others unchanged; the loop ends once every row has done so.
+    """
+    by_parity = []
+    for parity in (0, 1):
+        triples = [scheme.weights(parity) for scheme in schemes]
+        # one row keeps float weights, cheaper per operation than arrays
+        by_parity.append(triples[0] if u.ndim == 1 else tuple(
+            np.array(column)[:, None] for column in zip(*triples)
+        ))
+    diverged_at = np.full(u.shape[:-1], -1)
+    # a blow-up is reported through diverged_at, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in steps:
+            try:
+                u = _kernel(u, f, dt, *by_parity[i % 2])
+            except DivergenceError:
+                # raised by a Field callable that checks its input
+                diverged_at[diverged_at < 0] = i
+                break
+            # a non-finite intermediate always reaches the step's output,
+            # so one check per step finds the step where it first appears;
+            # the rows are told apart only when the check fails
+            if not np.isfinite(u).all():
+                finite = np.isfinite(u).all(axis=-1)
+                diverged_at[~finite & (diverged_at < 0)] = i
+                if (diverged_at >= 0).all():
+                    break
+            if observer is not None:
+                observer(i, u)
+    return u, diverged_at
+
+
+def _run_one(
     u0: Field,
     scheme: SchemeConfig,
     rhs: RhsOperator,
@@ -229,29 +287,18 @@ def _run(
     steps: range,
     observer: Callable[[int, Field], None] | None = None,
 ) -> Field:
-    """The steps numbered ``steps`` from u0, on raw arrays through _kernel."""
+    """_run on one row; a step that is not finite raises DivergenceError."""
     grid = u0.grid
-    f = _array_form(rhs, grid)
-    by_parity = (scheme.weights(0), scheme.weights(1))
-    u = u0.values
-    # a blow-up is reported as DivergenceError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in steps:
-            try:
-                u = _kernel(u, f, dt, *by_parity[i % 2])
-            except DivergenceError as err:
-                # raised by a Field callable that checks its input
-                raise DivergenceError(
-                    f"step diverged at step {i}", step_index=i
-                ) from err
-            # a non-finite intermediate always reaches the step's output,
-            # so one check per step finds the step where it first appears
-            if not np.isfinite(u).all():
-                raise DivergenceError(
-                    f"step diverged at step {i}", step_index=i
-                )
-            if observer is not None:
-                observer(i, Field(grid, u))
+    watch = None
+    if observer is not None:
+        def watch(i: int, u: np.ndarray) -> None:
+            observer(i, Field(grid, u))
+    u, diverged_at = _run(
+        u0.values, (scheme,), _array_form(rhs, grid), dt, steps, watch
+    )
+    step = int(diverged_at)
+    if step >= 0:
+        raise DivergenceError(f"step diverged at step {step}", step_index=step)
     return u0.with_values(u)
 
 
@@ -265,16 +312,17 @@ def integrate(
 ) -> Field:
     """Apply ``scheme`` n_steps times from u0 and return the final state.
 
+    This is the one-row case of the batched loop _run.
     ``observer(step_index, state)`` is called after every completed step,
-    which is how the convergence harness samples running errors.  A step
-    that stops being finite raises DivergenceError carrying the index of
-    the failing step.
+    which is how the reference trajectory is sampled.  A step that stops
+    being finite raises DivergenceError carrying the index of the failing
+    step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    return _run(u0, scheme, rhs, dt, range(n_steps), observer)
+    return _run_one(u0, scheme, rhs, dt, range(n_steps), observer)
 
 
 def step_icn(u: Field, rhs: RhsOperator, dt: float) -> Field:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icnlab import analysis
 from icnlab.analysis import (
     SweepSpec,
     advection_sweep,
@@ -13,14 +16,20 @@ from icnlab.analysis import (
     run_sweep,
     steps_for,
 )
-from icnlab.core import Field, Grid1D
+from icnlab.core import DivergenceError, Field, Grid1D
 from icnlab.problems import (
     burgers,
     initial_condition,
     linear_advection,
     semilinear_advection,
 )
-from icnlab.schemes import SchemeConfig
+from icnlab.schemes import (
+    PARAMETER,
+    SchemeConfig,
+    SchemeVariant,
+    _run,
+    integrate,
+)
 
 ICN = SchemeConfig.icn()
 
@@ -292,3 +301,149 @@ def test_sweep_spec_time_average_defaults():
         time_averaged=True,
     )
     assert forced.effective_time_averaged
+
+
+@st.composite
+def scheme_batches(draw):
+    """A random subset of the five variants in random order, each with a
+    random weight parameter."""
+    variants = draw(st.lists(st.sampled_from(list(SchemeVariant)),
+                             min_size=1, max_size=5, unique=True))
+    configs = []
+    for variant in variants:
+        name = PARAMETER[variant]
+        params = {} if name is None else {name: draw(st.floats(0.05, 0.95))}
+        configs.append(SchemeConfig(variant, **params))
+    return configs
+
+
+PROBLEMS = [linear_advection(), semilinear_advection(), burgers(0.01)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    schemes=scheme_batches(),
+    problem=st.sampled_from(PROBLEMS),
+    n=st.sampled_from([8, 30, 129]),
+    n_steps=st.integers(2, 6),
+)
+def test_batched_rows_match_integrate(schemes, problem, n, n_steps):
+    # row k of one (K, N) run is integrate with schemes[k] alone, bit for
+    # bit; two or more steps take every aa row through both parities
+    grid = Grid1D(n)
+    dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
+    u0 = initial_condition(grid)
+    rows = len(schemes)
+    final, diverged_at = _run(
+        np.tile(u0.values, (rows, 1)), schemes,
+        problem.array_rhs(grid, rows), dt, range(n_steps),
+    )
+    assert diverged_at.tolist() == [-1] * rows
+    for k, scheme in enumerate(schemes):
+        alone = integrate(u0, scheme, problem.rhs, dt, n_steps)
+        assert final[k].tobytes() == alone.values.tobytes(), scheme.label()
+
+
+def per_cell(spec, scheme, resolution):
+    """One cell run alone through integrate, with the norms reduced over
+    one (N,) row at a time: an oracle for the batched sweep.  Returns the
+    (l1, l2, linf) norms and None, or None and the step at which integrate
+    reports divergence."""
+    grid = Grid1D(spec.n_cells if spec.is_burgers else resolution)
+    dt = spec.dt(resolution)
+    steps = steps_for(spec.t_final, dt)
+    if spec.is_burgers:
+        sample_lcm = math.lcm(*spec.resolutions)
+        reference = analysis._reference_trajectory(
+            grid, spec.reference_dt, spec.t_final, spec.problem.viscosity,
+            spec.reference_divisor // sample_lcm,
+        )
+        stride = sample_lcm // resolution
+        targets = [reference[(i + 1) * stride - 1] for i in range(steps)]
+        final_target = targets[-1]
+    else:
+        nodes = grid.nodes()
+        targets = [spec.problem.exact_solution(nodes, (i + 1) * dt)
+                   for i in range(steps)]
+        final_target = spec.problem.exact_solution(nodes, spec.t_final)
+    sums = np.zeros(3)
+    observer = None
+    if spec.effective_time_averaged:
+        def observer(i, state):
+            e = state.values - targets[i]
+            sums[:] += [grid.dx * np.sum(np.abs(e)),
+                        grid.dx * math.sqrt(np.sum(e * e)),
+                        np.max(np.abs(e))]
+    try:
+        final = integrate(initial_condition(grid), scheme, spec.problem.rhs,
+                          dt, steps, observer)
+    except DivergenceError as err:
+        return None, err.step_index
+    if spec.effective_time_averaged:
+        return tuple(float(v / steps) for v in sums), None
+    norms = analysis._norms(final.values - final_target, grid.dx)
+    return (norms.l1, norms.l2, norms.linf), None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    schemes=scheme_batches(),
+    problem=st.sampled_from(PROBLEMS),
+    time_averaged=st.booleans(),
+    multiple=st.integers(1, 4),
+)
+def test_run_sweep_matches_per_cell_oracle(
+    schemes, problem, time_averaged, multiple
+):
+    # the advection grids reach N = 200, where the row-wise sums take
+    # numpy's pairwise branch (blocks of 128)
+    if problem.has_exact:
+        spec = SweepSpec(problem, schemes, (100, 200),
+                         t_final=multiple * 0.005, time_averaged=time_averaged)
+    else:
+        spec = SweepSpec(problem, schemes, (1, 2), t_final=multiple * 0.001,
+                         dt_base=0.001, time_averaged=time_averaged)
+    result = run_sweep(spec)
+    for scheme, table in zip(schemes, result.tables):
+        for resolution, row in zip(spec.resolutions, table.rows):
+            norms, step = per_cell(spec, scheme, resolution)
+            got = None if row.norms is None else (
+                row.norms.l1, row.norms.l2, row.norms.linf)
+            assert (got, row.diverged_at) == (norms, step), scheme.label()
+
+
+def default_schemes():
+    return [SchemeConfig.icn(), SchemeConfig.theta_icn(0.6),
+            SchemeConfig.swapped_theta_icn(0.6), SchemeConfig.ga(0.6),
+            SchemeConfig.aa(0.6)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the golden mixed-divergence cases: only theta(0.6) diverges, at
+        # N = 200 and at dt divisor 1
+        advection_sweep(semilinear_advection(), default_schemes(),
+                        resolutions=(100, 200), cfl=2.5),
+        burgers_sweep(default_schemes(), dt_divisors=(1, 2), t_final=0.9,
+                      dt_base=0.09),
+    ],
+    ids=["semilinear", "burgers"],
+)
+def test_diverged_at_matches_integrate_alone(spec):
+    result = run_sweep(spec)
+    failed = []
+    for scheme, table in zip(spec.schemes, result.tables):
+        for resolution, row in zip(spec.resolutions, table.rows):
+            grid = Grid1D(spec.n_cells if spec.is_burgers else resolution)
+            dt = spec.dt(resolution)
+            try:
+                integrate(initial_condition(grid), scheme, spec.problem.rhs,
+                          dt, steps_for(spec.t_final, dt))
+                expected = None
+            except DivergenceError as err:
+                expected = err.step_index
+                failed.append((scheme.label(), resolution))
+            assert row.diverged_at == expected
+            assert row.failed == (expected is not None)
+    assert len(failed) == 1 and failed[0][0] == "theta(0.6)"

@@ -99,6 +99,17 @@ def test_gather_operators_match_roll_forms(n):
         shifts.second_derivative(v, 1.0 / n),
         second_derivative_array(v, 1.0 / n),
     )
+    # (K, N) rows: the flat gathers act on each row as np.roll on axis -1
+    dx = 1.0 / n
+    for rows in (1, 5):
+        v = rng.standard_normal((rows, n))
+        shifts = PeriodicShifts(n, rows)
+        plus, minus = np.roll(v, -1, axis=-1), np.roll(v, 1, axis=-1)
+        assert np.array_equal(shifts.delta1(v), plus - minus)
+        assert np.array_equal(
+            shifts.second_derivative(v, dx),
+            (plus - 2.0 * v + minus) / (dx * dx),
+        )
 
 
 @pytest.mark.parametrize("op", [delta1_array, delta2_array, delta3_array])

@@ -4,10 +4,12 @@ SHA-256 digests in golden_outputs.sha256.
 
 The commands cover every output path: stability maps with PGM, linear and
 semilinear sweeps in CSV and Markdown, a Burgers sweep with and without a
-reference cache (tables and cache file), and one run per scheme and
-problem.  They are kept small (121-point maps, N <= 400, Burgers to
-t = 0.125).  A refactor that changes no number leaves every digest as it
-is.  Rewrite the digests, only when an output is meant to change, with
+reference cache (tables and cache file), two sweeps in which one scheme
+diverges and the others do not, and one run per scheme and problem.  They
+are kept small (121-point maps, N <= 400, Burgers to t = 0.125 except in
+the divergence case).  A refactor that changes no number leaves every
+digest as it is.  Rewrite the digests, only when an output is meant to
+change, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -65,6 +67,16 @@ CASES = {
     "burgers-cache": [
         BURGERS + ("--cache-dir", "{out}/cache", "--out", "{out}/first.csv"),
         BURGERS + ("--cache-dir", "{out}/cache", "--out", "{out}/rerun.csv"),
+    ],
+    # batches in which only theta(0.6) diverges: at N = 200 (CFL 2.5), and
+    # at dt divisor 1 (dt = 0.09), where ga's L2 norm overflows to inf
+    "mixed-divergence-semilinear": [
+        ("sweep", "--problem", "semilinear", "--cfl", "2.5",
+         "--resolutions", "100,200", "--out", "{out}/t.csv"),
+    ],
+    "mixed-divergence-burgers": [
+        ("sweep", "--problem", "burgers", "--dt-base", "0.09", "--t-final",
+         "0.9", "--resolutions", "1,2", "--out", "{out}/t.csv"),
     ],
     "run": [
         ("run", "--problem", problem, "--scheme", scheme, *size, *flags,
