@@ -9,6 +9,13 @@ produced:
   * the Burgers study refines dt on a fixed grid, measures the error
     against a fine-step reference run after every step, and reports the
     running mean of each norm ("norm in time").
+
+The Burgers reference is one ICN integration at dt_fine, kept three ways:
+``_reference_memo`` holds, per (grid, dt_fine, t_final, viscosity), the
+states at one cadence, and a request at a multiple m of that cadence is
+served as ``states[m-1::m]``; with a cache directory a sweep's trajectory
+is persisted as ``burgers-ref-...-every<cadence>.npy`` and the final state
+as ``burgers-ref-....csv``, so a warm cache integrates nothing.
 """
 from __future__ import annotations
 
@@ -66,8 +73,13 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 
 def steps_for(t_final: float, dt: float) -> int:
     """Uniform step count reaching t_final, or an error if none exists."""
+    if not (math.isfinite(t_final) and math.isfinite(dt)):
+        raise ValueError("t_final and dt must be finite")
     if t_final == 0.0:
         return 0
+    # dt may underflow to 0, and t_final / dt may overflow
+    if dt == 0.0 or not math.isfinite(t_final / dt):
+        raise ValueError("t_final not reachable with uniform steps")
     steps = round(t_final / dt)
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError("t_final not reachable with uniform steps")
@@ -247,9 +259,74 @@ class _MeanNorms:
         )
 
 
-# Burgers reference trajectories are expensive relative to everything else,
-# so completed ones are kept for the lifetime of the process.
-_reference_memo: dict[tuple, list[np.ndarray]] = {}
+# The one in-process cache of Burgers references: (grid, dt_fine, t_final,
+# viscosity) -> (cadence, states), where states[k] is the state after
+# (k + 1) * cadence fine steps.
+_reference_memo: dict[tuple, tuple[int, np.ndarray]] = {}
+
+
+def _memo_key(grid: Grid1D, dt_fine: float, t_final: float,
+              viscosity: float) -> tuple:
+    return (grid.n_cells, grid.x_min, grid.x_max, dt_fine, t_final, viscosity)
+
+
+def _integrate_reference(
+    grid: Grid1D, dt_fine: float, steps: int, viscosity: float, cadence: int
+) -> np.ndarray:
+    """ICN states every ``cadence`` of ``steps`` fine steps, one per row."""
+    states = np.empty((steps // cadence, grid.n_cells))
+
+    def keep(i: int, state: Field) -> None:
+        if (i + 1) % cadence == 0:
+            states[i // cadence] = state.values
+
+    integrate(
+        initial_condition(grid), SchemeConfig.icn(), burgers(viscosity).rhs,
+        dt_fine, steps, observer=keep,
+    )
+    return states
+
+
+def _reference_path(
+    cache_dir: str | Path,
+    n_cells: int,
+    dt_fine: float,
+    t_final: float,
+    viscosity: float,
+    suffix: str,
+) -> Path:
+    name = (
+        f"burgers-ref-n{n_cells}-t{t_final!r}-dt{dt_fine!r}"
+        f"-nu{viscosity!r}{suffix}"
+    )
+    return Path(cache_dir) / name
+
+
+def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
+    """A cached trajectory, or None unless the file holds a float64 array
+    of exactly ``shape`` with every value finite."""
+    try:
+        states = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        not isinstance(states, np.ndarray)
+        or states.dtype != np.float64
+        or states.shape != shape
+        or not np.isfinite(states).all()
+    ):
+        return None
+    return states
+
+
+def _write_atomic(path: Path, write) -> None:
+    """``write(handle)`` into a temporary file that then replaces ``path``,
+    so a reader never sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "wb") as handle:
+        write(handle)
+    os.replace(tmp, path)
 
 
 def _reference_trajectory(
@@ -258,49 +335,45 @@ def _reference_trajectory(
     t_final: float,
     viscosity: float,
     cadence: int,
-) -> list[np.ndarray]:
-    """ICN reference states every ``cadence`` fine steps up to t_final."""
-    key = (
-        grid.n_cells,
-        grid.x_min,
-        grid.x_max,
-        dt_fine,
-        t_final,
-        viscosity,
-        cadence,
-    )
-    if key in _reference_memo:
-        return _reference_memo[key]
+    cache_dir: str | Path | None = None,
+) -> np.ndarray:
+    """ICN reference states every ``cadence`` fine steps up to t_final.
+
+    A memoized trajectory whose cadence divides ``cadence`` serves the
+    request by striding; otherwise, with a cache directory, the states come
+    from its ``.npy`` file for this cadence.  Only when neither holds them
+    is the reference integrated, and the result replaces the memo entry.
+    With a cache directory the file is (re)written unless it already held
+    the states.
+    """
     steps = steps_for(t_final, dt_fine)
     if steps % cadence != 0:
         raise ValueError("reference cadence does not divide the step count")
-    problem = burgers(viscosity)
-    states: list[np.ndarray] = []
-
-    def keep(i: int, state: Field) -> None:
-        if (i + 1) % cadence == 0:
-            states.append(state.values)
-
-    integrate(
-        initial_condition(grid), SchemeConfig.icn(), problem.rhs, dt_fine,
-        steps, observer=keep,
-    )
-    _reference_memo[key] = states
+    key = _memo_key(grid, dt_fine, t_final, viscosity)
+    states = None
+    if key in _reference_memo:
+        stored, kept = _reference_memo[key]
+        if cadence % stored == 0:
+            m = cadence // stored
+            states = kept[m - 1::m]
+    path = None
+    if cache_dir is not None:
+        path = _reference_path(
+            cache_dir, grid.n_cells, dt_fine, t_final, viscosity,
+            f"-every{cadence}.npy",
+        )
+        cached = _read_trajectory(path, (steps // cadence, grid.n_cells))
+        if cached is not None:
+            if states is None:
+                states = cached
+                _reference_memo[key] = (cadence, states)
+            return states
+    if states is None:
+        states = _integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+        _reference_memo[key] = (cadence, states)
+    if path is not None:
+        _write_atomic(path, lambda handle: np.save(handle, states))
     return states
-
-
-def _reference_cache_path(
-    cache_dir: str | Path,
-    n_cells: int,
-    dt_fine: float,
-    t_final: float,
-    viscosity: float,
-) -> Path:
-    name = (
-        f"burgers-ref-n{n_cells}-t{t_final!r}-dt{dt_fine!r}"
-        f"-nu{viscosity!r}.csv"
-    )
-    return Path(cache_dir) / name
 
 
 def _read_reference(path: Path, n_cells: int) -> np.ndarray | None:
@@ -330,51 +403,45 @@ def burgers_reference(
 ) -> Field:
     """Fine-step ICN solution used as the Burgers 'exact' state at t_final.
 
-    With a cache directory the field is persisted as a small CSV (17
-    significant digits, so reloading is bit-exact) keyed by all parameters.
-    A cached file that is not a whole reference is integrated again and
-    rewritten.
+    A memoized trajectory serves its last row: at every cadence, and in
+    every stride ``states[m-1::m]`` of it, that row is the final state.
+    Otherwise only the final state is integrated, in O(N) memory, and the
+    memo gains no entry.  With a cache directory the field is persisted as
+    ``burgers-ref-....csv`` (17 significant digits, so reloading is
+    bit-exact), keyed by all parameters, next to the sweeps'
+    ``burgers-ref-...-every<cadence>.npy`` trajectories.  A cached file
+    that is not a whole reference is integrated again and rewritten.
     """
     grid = Grid1D(n_cells)
     if t_final == 0.0:
         return initial_condition(grid)
     path = None
     if cache_dir is not None:
-        path = _reference_cache_path(
-            cache_dir, n_cells, dt_fine, t_final, viscosity
+        path = _reference_path(
+            cache_dir, n_cells, dt_fine, t_final, viscosity, ".csv"
         )
         values = _read_reference(path, n_cells)
         if values is not None:
             return Field(grid, values)
-    # a sweep's memoized trajectory ends on the final state at any cadence
-    key = (n_cells, grid.x_min, grid.x_max, dt_fine, t_final, viscosity)
-    kept = [states[-1] for k, states in _reference_memo.items()
-            if k[:-1] == key]
-    if kept:
-        final = Field(grid, kept[0].copy())
+    key = _memo_key(grid, dt_fine, t_final, viscosity)
+    if key in _reference_memo:
+        final = _reference_memo[key][1][-1].copy()
     else:
-        final = integrate(
-            initial_condition(grid),
-            SchemeConfig.icn(),
-            burgers(viscosity).rhs,
-            dt_fine,
-            steps_for(t_final, dt_fine),
-        )
+        steps = steps_for(t_final, dt_fine)
+        (final,) = _integrate_reference(grid, dt_fine, steps, viscosity, steps)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["x,u"]
-        for x, v in zip(grid.nodes(), final.values):
+        for x, v in zip(grid.nodes(), final):
             lines.append(f"{x:.17e},{v:.17e}")
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes("\n".join(lines).encode() + b"\n")
-        os.replace(tmp, path)
-    return final
+        content = "\n".join(lines).encode() + b"\n"
+        _write_atomic(path, lambda handle: handle.write(content))
+    return Field(grid, final)
 
 
 def _resolution_cells(
     spec: SweepSpec,
     resolution: int,
-    reference: list[np.ndarray] | None,
+    reference: np.ndarray | None,
     sample_lcm: int | None,
 ) -> list[tuple[NormTriple | None, int | None]]:
     """Norms and first non-finite step of every scheme at one resolution.
@@ -469,6 +536,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             spec.t_final,
             spec.problem.viscosity,
             spec.reference_divisor // sample_lcm,
+            spec.cache_dir,
         )
     by_resolution = [
         _resolution_cells(spec, r, reference, sample_lcm)

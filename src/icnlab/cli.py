@@ -7,6 +7,7 @@ library calls unchanged.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -161,9 +162,9 @@ def cmd_run(args) -> int:
     else:
         cfl = args.cfl if args.cfl is not None else 0.5
         dt = cfl * grid.dx / abs(problem.advection_speed)
-    if dt <= 0.0:
+    if not 0.0 < dt < math.inf:
         flag = "--dt" if args.problem == "burgers" else "--cfl"
-        raise UsageError(f"{flag} must yield a positive time step")
+        raise UsageError(f"{flag} must yield a positive finite time step")
     try:
         steps = steps_for(args.t_final, dt)
     except ValueError as err:
@@ -262,6 +263,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    for name in ("theta_min", "theta_max", "beta_min", "beta_max"):
+        if not math.isfinite(getattr(args, name)):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite")
     if args.theta_min > args.theta_max:
         raise UsageError("--theta-min exceeds --theta-max")
     if args.beta_min > args.beta_max:

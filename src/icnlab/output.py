@@ -5,11 +5,12 @@ order, newline line endings.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import SweepResult
+from .analysis import NORM_KEYS, SweepResult
 from .core import Grid1D
 from .stability import StabilityMap
 
@@ -22,7 +23,10 @@ def format_float(x: float) -> str:
 
 
 def format_compact(x: float) -> str:
-    """Two significant digits in the 1.8E-4 style (Markdown cells)."""
+    """Two significant digits in the 1.8E-4 style (Markdown cells); a
+    non-finite value reads as in the CSV cells."""
+    if not math.isfinite(x):
+        return format_float(x)
     mantissa, exponent = f"{x:.1E}".split("E")
     return f"{mantissa}E{int(exponent)}"
 
@@ -50,7 +54,7 @@ def sweep_csv(result: SweepResult, norm_key: str) -> str:
             else:
                 value = format_float(row.norms.get(norm_key))
                 order = (
-                    format_float(row.orders[_norm_index(norm_key)])
+                    format_float(row.orders[NORM_KEYS.index(norm_key)])
                     if row.orders is not None
                     else ""
                 )
@@ -78,7 +82,7 @@ def sweep_markdown(result: SweepResult, norm_key: str) -> str:
             else:
                 cells.append(format_compact(row.norms.get(norm_key)))
                 cells.append(
-                    f"{row.orders[_norm_index(norm_key)]:.1f}"
+                    f"{row.orders[NORM_KEYS.index(norm_key)]:.1f}"
                     if row.orders is not None
                     else ""
                 )
@@ -117,7 +121,3 @@ def stability_pgm(stability_map: StabilityMap) -> str:
 def write_text(path: str | Path, content: str) -> None:
     """Byte-exact write (no platform newline translation)."""
     Path(path).write_bytes(content.encode("utf-8"))
-
-
-def _norm_index(norm_key: str) -> int:
-    return {"l1": 0, "l2": 1, "linf": 2}[norm_key]

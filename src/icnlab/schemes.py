@@ -42,6 +42,7 @@ step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -160,7 +161,7 @@ class SchemeConfig:
             if given != (name == PARAMETER[self.variant]):
                 verb = "does not take" if given else "requires"
                 raise ValueError(f"{self.variant.value} scheme {verb} {name}")
-        if self.theta1 is not None and self.theta1 <= 0.0:
+        if self.theta1 is not None and not 0.0 < self.theta1 < math.inf:
             raise ValueError("invalid theta1")
         for name in ("theta", "theta_odd"):
             value = getattr(self, name)

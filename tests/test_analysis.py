@@ -110,6 +110,14 @@ def test_steps_for():
     assert steps_for(0.5, 0.5 / 200) == 200
     with pytest.raises(ValueError, match="not reachable"):
         steps_for(1.0, 0.3)
+    # a step count that overflows, or a step that underflowed to 0
+    for t_final, dt in ((1e300, 1e-300), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="not reachable"):
+            steps_for(t_final, dt)
+    for t_final, dt in ((math.inf, 0.1), (math.nan, 0.1), (0.5, math.inf),
+                        (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            steps_for(t_final, dt)
 
 
 def test_burgers_reference_time_zero():
@@ -173,6 +181,70 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, corrupt):
     assert np.array_equal(again.values, fresh.values)
     assert path.read_text() == good
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def count_integrations(monkeypatch):
+    """Record the dt of every integrate call made by the analysis module."""
+    calls = []
+    integrate_ = analysis.integrate
+
+    def counting(u0, scheme, rhs, dt, n_steps, observer=None):
+        calls.append(dt)
+        return integrate_(u0, scheme, rhs, dt, n_steps, observer)
+
+    monkeypatch.setattr(analysis, "integrate", counting)
+    return calls
+
+
+def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path,
+                                                         monkeypatch):
+    # the persisted trajectory ends on the final state of the CSV, and both
+    # equal what an uncached process integrates, bit for bit
+    monkeypatch.setattr(analysis, "_reference_memo", {})
+    grid = Grid1D(30)
+    dt_fine = 0.5 * grid.dx**2 / 32
+    analysis._reference_trajectory(grid, dt_fine, 0.015625, 0.01, 4,
+                                   tmp_path)
+    burgers_reference(30, dt_fine, 0.015625, cache_dir=tmp_path)
+    (npy,) = tmp_path.glob("burgers-ref-*-every4.npy")
+    (csv,) = tmp_path.glob("burgers-ref-*.csv")
+    states = np.load(npy, allow_pickle=False)
+    assert states.shape == (225, 30)
+    final = np.array([float(line.split(",")[1])
+                      for line in csv.read_text().splitlines()[1:]])
+    assert states[-1].tobytes() == final.tobytes()
+    analysis._reference_memo.clear()
+    fresh = analysis._reference_trajectory(grid, dt_fine, 0.015625, 0.01, 4)
+    assert fresh.shape == states.shape
+    assert fresh.tobytes() == states.tobytes()
+    analysis._reference_memo.clear()
+    alone = burgers_reference(30, dt_fine, 0.015625)
+    assert alone.values.tobytes() == final.tobytes()
+    assert analysis._reference_memo == {}
+
+
+def test_reference_memo_serves_multiples_of_its_cadence(monkeypatch):
+    monkeypatch.setattr(analysis, "_reference_memo", {})
+    calls = count_integrations(monkeypatch)
+    grid = Grid1D(30)
+    dt_fine = 0.5 * grid.dx**2 / 32
+    args = (grid, dt_fine, 0.02, 0.01)
+    analysis._reference_trajectory(*args, 4)
+    calls.clear()
+    strided = analysis._reference_trajectory(*args, 16)
+    assert calls == []
+    final = burgers_reference(30, dt_fine, 0.02)
+    assert calls == []
+    assert final.values.tobytes() == strided[-1].tobytes()
+    analysis._reference_memo.clear()
+    fresh = analysis._reference_trajectory(*args, 16)
+    assert strided.shape == fresh.shape == (1152 // 16, 30)
+    assert strided.tobytes() == fresh.tobytes()
+    # a finer cadence integrates again and replaces the entry
+    calls.clear()
+    analysis._reference_trajectory(*args, 8)
+    assert calls == [dt_fine]
+    assert [cadence for cadence, _ in analysis._reference_memo.values()] == [8]
 
 
 def small_linear_spec():

@@ -1,3 +1,5 @@
+import argparse
+import io
 import subprocess
 import sys
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from icnlab import analysis
-from icnlab.cli import main
+from icnlab.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -219,10 +221,8 @@ def test_sweep_burgers_cache_dir(tmp_path):
     assert len(list(cache.glob("burgers-ref-*.csv"))) == 1
 
 
-def test_sweep_cache_dir_integrates_reference_once(tmp_path, monkeypatch):
-    # per command: one reference trajectory, the one integration at the
-    # reference step dt_base / 32; the cached final state is taken from the
-    # trajectory, never integrated again
+def count_integrations(monkeypatch):
+    """Record the dt of every integrate call made by the analysis module."""
     calls = []
     integrate = analysis.integrate
 
@@ -231,17 +231,26 @@ def test_sweep_cache_dir_integrates_reference_once(tmp_path, monkeypatch):
         return integrate(u0, scheme, rhs, dt, n_steps, observer)
 
     monkeypatch.setattr(analysis, "integrate", counting)
+    return calls
+
+
+def test_sweep_cache_dir_integrates_reference_once(tmp_path, monkeypatch):
+    # the first command integrates one reference trajectory, at the
+    # reference step dt_base / 32, and persists it; the rerun starts as a
+    # fresh process would, with no memo, and integrates nothing
+    calls = count_integrations(monkeypatch)
     args = ["sweep", "--problem", "burgers", "--schemes", "icn",
             "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
             "1,2", "--norms", "l1", "--cache-dir", str(tmp_path / "cache")]
-    for run in ("first", "rerun"):
+    for run, integrations in (("first", 1), ("rerun", 0)):
         analysis._reference_memo.clear()
         calls.clear()
         assert main(args + ["--out", str(tmp_path / f"{run}.csv")]) == 0
-        reference_dt = 0.001 / analysis.REFERENCE_DIVISOR
-        assert calls.count(reference_dt) == 1, run
-        # the trajectory keeps only the states the finest cell samples
-        assert [len(s) for s in analysis._reference_memo.values()] == [8]
+        assert calls == [0.001 / analysis.REFERENCE_DIVISOR] * integrations
+        # the trajectory keeps only the states the finest cell samples:
+        # every 16th of 128 fine steps
+        assert [(cadence, len(states)) for cadence, states
+                in analysis._reference_memo.values()] == [(16, 8)]
     assert (tmp_path / "first_l1.csv").read_bytes() == (
         tmp_path / "rerun_l1.csv"
     ).read_bytes()
@@ -285,6 +294,158 @@ def test_sweep_recomputes_corrupt_reference_cache(tmp_path, corrupt):
         assert (cached / f"t_{norm}.csv").read_bytes() == (
             plain / f"t_{norm}.csv"
         ).read_bytes()
+
+
+def _corrupt_trajectory(path):
+    states = np.load(path)
+    corruptions = {
+        "truncated": path.read_bytes()[: path.stat().st_size // 2],
+        "empty": b"",
+    }
+    nan = states.copy()
+    nan[3, 5] = np.nan
+    for name, array in (("float32", states.astype(np.float32)),
+                        ("wrong-shape", states[:-1]), ("nan", nan),
+                        ("object", states.astype(object))):
+        buffer = io.BytesIO()
+        np.save(buffer, array)
+        corruptions[name] = buffer.getvalue()
+    return corruptions
+
+
+def test_sweep_recomputes_corrupt_trajectory_cache(tmp_path, monkeypatch):
+    # a trajectory file that is not exactly the states the sweep samples is
+    # integrated again and rewritten, and the tables do not change
+    calls = count_integrations(monkeypatch)
+    cache = tmp_path / "cache"
+    args = ["sweep", "--problem", "burgers", "--schemes", "icn,ga",
+            "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+            "1,2", "--cache-dir", str(cache)]
+    analysis._reference_memo.clear()
+    assert main(args + ["--out", str(tmp_path / "good.csv")]) == 0
+    (path,) = cache.glob("*.npy")
+    good = path.read_bytes()
+    for name, data in _corrupt_trajectory(path).items():
+        path.write_bytes(data)
+        analysis._reference_memo.clear()
+        calls.clear()
+        out = tmp_path / name
+        out.mkdir()
+        assert main(args + ["--out", str(out / "t.csv")]) == 0, name
+        assert len(calls) == 1, name
+        assert path.read_bytes() == good, name
+        for norm in ("l1", "l2", "linf"):
+            assert (out / f"t_{norm}.csv").read_bytes() == (
+                tmp_path / f"good_{norm}.csv"
+            ).read_bytes(), name
+    assert sorted(p.suffix for p in cache.iterdir()) == [".csv", ".npy"]
+
+
+def test_markdown_renders_non_finite_norm(tmp_path):
+    # ga(0.6)'s L2 norm at dt divisor 1 overflows to inf while its state
+    # stays finite; Markdown writes it as the CSV does
+    args = ["sweep", "--problem", "burgers", "--dt-base", "0.09",
+            "--t-final", "0.9", "--resolutions", "1,2"]
+    assert main(args + ["--format", "markdown",
+                        "--out", str(tmp_path / "t.md")]) == 0
+    assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+    csv_ga = [line.split(",")[2] for line
+              in (tmp_path / "t_l2.csv").read_text().splitlines()
+              if line.startswith("ga(0.6),1,")]
+    assert csv_ga == ["inf"]
+    rows = (tmp_path / "t_l2.md").read_text().splitlines()
+    cells = [cell.strip() for cell in rows[2].split("|")[1:-1]]
+    header = [cell.strip() for cell in rows[0].split("|")[1:-1]]
+    assert cells[header.index("ga(0.6) L2")] == "inf"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--problem", "linear", "--scheme", "icn", "--n", "16",
+          "--t-final", "inf"], "--t-final"),
+        (["run", "--problem", "burgers", "--scheme", "icn", "--n", "16",
+          "--t-final", "inf"], "--t-final"),
+        (["sweep", "--problem", "linear", "--resolutions", "8,16",
+          "--t-final", "inf"], "t_final"),
+        (["sweep", "--problem", "burgers", "--resolutions", "1,2",
+          "--t-final", "inf"], "t_final"),
+        (["run", "--problem", "linear", "--scheme", "icn", "--n", "16",
+          "--cfl", "nan"], "--cfl"),
+        (["run", "--problem", "burgers", "--scheme", "icn", "--n", "16",
+          "--dt", "inf"], "--dt"),
+        *[(["run", "--problem", "linear", "--scheme", "ga", "--n", "16",
+            "--theta1", value], "--theta1") for value in ("nan", "inf")],
+        *[(["stability", "--variant", "ga", f"--{bound}", value], bound)
+          for bound in ("theta-min", "theta-max", "beta-min", "beta-max")
+          for value in ("nan", "inf")],
+        # finite flags whose step count overflows, or whose dt underflows
+        (["run", "--problem", "burgers", "--scheme", "icn", "--n", "8",
+          "--dt", "1e-300", "--t-final", "1e300"], "--t-final"),
+        (["sweep", "--problem", "burgers", "--n", "8", "--dt-base",
+          "1e-300", "--t-final", "1e10", "--resolutions", "1,2"],
+         "not reachable"),
+        (["sweep", "--problem", "linear", "--cfl", "5e-324",
+          "--resolutions", "8,16"], "not reachable"),
+    ],
+)
+def test_bad_float_values_exit_2(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# small valid argvs of each command; together they take every float flag
+# in a setting where it applies
+FLOAT_FLAG_BASES = {
+    "run": [
+        ["--problem", "linear", "--scheme", "theta", "--n", "16",
+         "--t-final", "0.125"],
+        ["--problem", "semilinear", "--scheme", "ga", "--n", "16",
+         "--t-final", "0.125"],
+        ["--problem", "burgers", "--scheme", "aa", "--n", "8",
+         "--t-final", "0.0625"],
+    ],
+    "sweep": [
+        ["--problem", "linear", "--resolutions", "8,16", "--t-final",
+         "0.125"],
+        ["--problem", "burgers", "--n", "8", "--resolutions", "1,2",
+         "--dt-base", "0.0078125", "--t-final", "0.03125"],
+    ],
+    "stability": [["--variant", "aa", "--resolution", "3"]],
+}
+OUTPUTS = {"run": ["--out", "{out}/o.csv"], "sweep": ["--out", "{out}/t.csv"],
+           "stability": ["--out", "{out}/m.csv", "--pgm", "{out}/m.pgm"]}
+
+
+def _float_flags():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0])
+            for command, parser in commands.items()
+            for action in parser._actions if action.type is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_every_float_flag_takes_non_finite_values(tmp_path, capsys, command,
+                                                  flag, value):
+    # the exit-code contract on every float flag of every command: 0, 2 or
+    # 3, never an exception, and a usage error writes nothing
+    for k, base in enumerate(FLOAT_FLAG_BASES[command]):
+        out = tmp_path / str(k)
+        out.mkdir()
+        argv = [command, *base, f"{flag}={value}",
+                *(a.format(out=out) for a in OUTPUTS[command])]
+        code = main(argv)
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert list(out.iterdir()) == [], argv
+
+
+def test_float_flags_cover_every_command():
+    assert {command for command, _ in _float_flags()} == set(FLOAT_FLAG_BASES)
+    assert len(_float_flags()) == 16
 
 
 def test_sweep_repeat_is_byte_identical(tmp_path):

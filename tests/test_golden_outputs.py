@@ -4,7 +4,7 @@ SHA-256 digests in golden_outputs.sha256.
 
 The commands cover every output path: stability maps with PGM, linear and
 semilinear sweeps in CSV and Markdown, a Burgers sweep with and without a
-reference cache (tables and cache file), two sweeps in which one scheme
+reference cache (tables, final-state CSV and trajectory .npy), two sweeps in which one scheme
 diverges and the others do not, and one run per scheme and problem.  They
 are kept small (121-point maps, N <= 400, Burgers to t = 0.125 except in
 the divergence case).  A refactor that changes no number leaves every
