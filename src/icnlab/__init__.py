@@ -19,16 +19,7 @@ from .analysis import (
     run_sweep,
     steps_for,
 )
-from .core import (
-    DivergenceError,
-    Field,
-    Grid1D,
-    delta1,
-    delta2,
-    delta3,
-    second_derivative,
-    wrap_index,
-)
+from .core import DivergenceError, Field, Grid1D
 from .problems import (
     Problem,
     ProblemKind,
@@ -81,9 +72,6 @@ __all__ = [
     "burgers",
     "burgers_reference",
     "burgers_sweep",
-    "delta1",
-    "delta2",
-    "delta3",
     "error_norms",
     "g_aa_composed",
     "g_ga",
@@ -95,12 +83,10 @@ __all__ = [
     "observed_order",
     "run_sweep",
     "scan_region",
-    "second_derivative",
     "semilinear_advection",
     "step_aa",
     "step_ga",
     "step_icn",
     "step_theta_icn",
     "steps_for",
-    "wrap_index",
 ]

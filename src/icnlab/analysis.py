@@ -10,12 +10,14 @@ produced:
     against a fine-step reference run after every step, and reports the
     running mean of each norm ("norm in time").
 
-The Burgers reference is one ICN integration at dt_fine, kept three ways:
+The Burgers reference is one ICN integration at dt_fine.
 ``_reference_memo`` holds, per (grid, dt_fine, t_final, viscosity), the
 states at one cadence, and a request at a multiple m of that cadence is
-served as ``states[m-1::m]``; with a cache directory a sweep's trajectory
-is persisted as ``burgers-ref-...-every<cadence>.npy`` and the final state
-as ``burgers-ref-....csv``, so a warm cache integrates nothing.
+served as ``states[m-1::m]``.  With a cache directory a sweep's trajectory
+is persisted as ``burgers-ref-...-every<cadence>.npy``, the one file read
+back, so a warm cache integrates nothing; the final state is written next
+to it as ``burgers-ref-....csv``, an output derived from the trajectory's
+last row that is never read.
 """
 from __future__ import annotations
 
@@ -44,14 +46,6 @@ class NormTriple:
 NORM_KEYS = ("l1", "l2", "linf")
 
 
-def _norms(errors: np.ndarray, dx: float) -> NormTriple:
-    return NormTriple(
-        l1=float(dx * np.sum(np.abs(errors))),
-        l2=float(dx * np.sqrt(np.sum(errors * errors))),
-        linf=float(np.max(np.abs(errors))),
-    )
-
-
 def error_norms(numerical: Field, reference: Field) -> NormTriple:
     """L1 = dx sum|e|, L2 = dx sqrt(sum e^2), Linf = max|e|.
 
@@ -61,7 +55,10 @@ def error_norms(numerical: Field, reference: Field) -> NormTriple:
     """
     if numerical.grid != reference.grid:
         raise ValueError("grid mismatch")
-    return _norms(numerical.values - reference.values, numerical.grid.dx)
+    # the mean over one state: 0 + x and x / 1 are exact
+    norms = _MeanNorms(numerical.grid.dx, 1)
+    norms.add(numerical.values - reference.values)
+    return norms.result(0)
 
 
 def observed_order(e_coarse: float, e_fine: float) -> float:
@@ -90,13 +87,21 @@ def steps_for(t_final: float, dt: float) -> int:
 REFERENCE_DIVISOR = 32
 
 
+def burgers_dt(n_cells: int) -> float:
+    """Default Burgers base time step, 0.5 dx^2 on the n_cells grid."""
+    return 0.5 * Grid1D(n_cells).dx ** 2
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One convergence study: problem, schemes, and a refinement axis.
 
     ``resolutions`` holds grid sizes for the advection problems and dt
     divisors (dt = dt_base / divisor) for Burgers, where the grid is fixed
-    at ``n_cells`` and dt_base defaults to 0.5 dx^2.
+    at ``n_cells`` and dt_base defaults to 0.5 dx^2.  The problem fixes the
+    error protocol: one snapshot against the exact solution at t_final for
+    advection, the mean over every step against the fine-step reference
+    for Burgers.
     """
 
     problem: Problem
@@ -106,8 +111,6 @@ class SweepSpec:
     cfl: float = 0.5
     n_cells: int = 30
     dt_base: float | None = None
-    reference_divisor: int = REFERENCE_DIVISOR
-    time_averaged: bool | None = None
     cache_dir: str | Path | None = None
 
     def __post_init__(self):
@@ -130,10 +133,10 @@ class SweepSpec:
         if self.resolutions[0] < 1:
             raise ValueError("resolutions must be positive")
         if self.is_burgers:
-            lcm = math.lcm(*self.resolutions)
-            if self.reference_divisor % lcm != 0:
+            if REFERENCE_DIVISOR % math.lcm(*self.resolutions) != 0:
                 raise ValueError(
-                    "reference_divisor must be a multiple of every dt divisor"
+                    f"the reference divisor {REFERENCE_DIVISOR} must be a "
+                    "multiple of every dt divisor"
                 )
         elif self.problem.advection_speed == 0.0:
             raise ValueError("advection speed must be nonzero for a CFL sweep")
@@ -150,12 +153,12 @@ class SweepSpec:
         """Burgers base time step: dt_base, or 0.5 dx^2 on the fixed grid."""
         if self.dt_base is not None:
             return self.dt_base
-        return 0.5 * Grid1D(self.n_cells).dx ** 2
+        return burgers_dt(self.n_cells)
 
     @property
     def reference_dt(self) -> float:
         """Time step of the Burgers fine-step reference run."""
-        return self.base_dt / self.reference_divisor
+        return self.base_dt / REFERENCE_DIVISOR
 
     def dt(self, resolution: int) -> float:
         """Time step of the cells at one grid size or dt divisor."""
@@ -163,12 +166,6 @@ class SweepSpec:
             return self.base_dt / resolution
         grid = Grid1D(resolution)
         return self.cfl * grid.dx / abs(self.problem.advection_speed)
-
-    @property
-    def effective_time_averaged(self) -> bool:
-        if self.time_averaged is None:
-            return self.is_burgers
-        return self.time_averaged
 
 
 def advection_sweep(
@@ -243,8 +240,8 @@ class _MeanNorms:
         self.count = 0
 
     def add(self, errors: np.ndarray) -> None:
-        # the reductions of _norms, row by row: a reduction along the last
-        # axis of (K, N) equals the reduction of each (N,) row bit for bit
+        # a reduction along the last axis of (K, N) equals the reduction of
+        # each (N,) row bit for bit
         magnitude = np.abs(errors)
         self.l1 += self.dx * magnitude.sum(axis=-1)
         self.l2 += self.dx * np.sqrt((errors * errors).sum(axis=-1))
@@ -265,11 +262,6 @@ class _MeanNorms:
 _reference_memo: dict[tuple, tuple[int, np.ndarray]] = {}
 
 
-def _memo_key(grid: Grid1D, dt_fine: float, t_final: float,
-              viscosity: float) -> tuple:
-    return (grid.n_cells, grid.x_min, grid.x_max, dt_fine, t_final, viscosity)
-
-
 def _integrate_reference(
     grid: Grid1D, dt_fine: float, steps: int, viscosity: float, cadence: int
 ) -> np.ndarray:
@@ -285,21 +277,6 @@ def _integrate_reference(
         dt_fine, steps, observer=keep,
     )
     return states
-
-
-def _reference_path(
-    cache_dir: str | Path,
-    n_cells: int,
-    dt_fine: float,
-    t_final: float,
-    viscosity: float,
-    suffix: str,
-) -> Path:
-    name = (
-        f"burgers-ref-n{n_cells}-t{t_final!r}-dt{dt_fine!r}"
-        f"-nu{viscosity!r}{suffix}"
-    )
-    return Path(cache_dir) / name
 
 
 def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
@@ -329,6 +306,15 @@ def _write_atomic(path: Path, write) -> None:
     os.replace(tmp, path)
 
 
+def _final_state_csv(grid: Grid1D, final: np.ndarray) -> bytes:
+    """``x,u`` rows with 17 significant digits, enough to give back every
+    float64 value exactly."""
+    lines = ["x,u"]
+    for x, v in zip(grid.nodes(), final):
+        lines.append(f"{x:.17e},{v:.17e}")
+    return "\n".join(lines).encode() + b"\n"
+
+
 def _reference_trajectory(
     grid: Grid1D,
     dt_fine: float,
@@ -344,54 +330,42 @@ def _reference_trajectory(
     from its ``.npy`` file for this cadence.  Only when neither holds them
     is the reference integrated, and the result replaces the memo entry.
     With a cache directory the file is (re)written unless it already held
-    the states.
+    the states, and the final-state CSV next to it is rewritten unless it
+    already holds exactly the bytes of the last row.
     """
     steps = steps_for(t_final, dt_fine)
     if steps % cadence != 0:
         raise ValueError("reference cadence does not divide the step count")
-    key = _memo_key(grid, dt_fine, t_final, viscosity)
+    key = (grid, dt_fine, t_final, viscosity)
     states = None
     if key in _reference_memo:
         stored, kept = _reference_memo[key]
         if cadence % stored == 0:
             m = cadence // stored
             states = kept[m - 1::m]
-    path = None
+    cached = None
     if cache_dir is not None:
-        path = _reference_path(
-            cache_dir, grid.n_cells, dt_fine, t_final, viscosity,
-            f"-every{cadence}.npy",
+        name = (
+            f"burgers-ref-n{grid.n_cells}-t{t_final!r}-dt{dt_fine!r}"
+            f"-nu{viscosity!r}"
         )
+        path = Path(cache_dir) / f"{name}-every{cadence}.npy"
         cached = _read_trajectory(path, (steps // cadence, grid.n_cells))
-        if cached is not None:
-            if states is None:
-                states = cached
-                _reference_memo[key] = (cadence, states)
-            return states
     if states is None:
-        states = _integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+        states = cached
+        if states is None:
+            states = _integrate_reference(
+                grid, dt_fine, steps, viscosity, cadence
+            )
         _reference_memo[key] = (cadence, states)
-    if path is not None:
-        _write_atomic(path, lambda handle: np.save(handle, states))
+    if cache_dir is not None:
+        if cached is None:
+            _write_atomic(path, lambda handle: np.save(handle, states))
+        csv = path.with_name(f"{name}.csv")
+        content = _final_state_csv(grid, states[-1])
+        if not (csv.is_file() and csv.read_bytes() == content):
+            _write_atomic(csv, lambda handle: handle.write(content))
     return states
-
-
-def _read_reference(path: Path, n_cells: int) -> np.ndarray | None:
-    """Nodal values of a cached reference, or None if the file is missing,
-    has the wrong header or row count, a malformed row or a non-finite
-    value."""
-    try:
-        lines = path.read_text().splitlines()
-    except (OSError, ValueError):
-        return None
-    if len(lines) != n_cells + 1 or lines[0] != "x,u":
-        return None
-    try:
-        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-        values = np.array([u for _, u in rows])
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
 
 
 def burgers_reference(
@@ -399,42 +373,25 @@ def burgers_reference(
     dt_fine: float,
     t_final: float,
     viscosity: float = 0.01,
-    cache_dir: str | Path | None = None,
 ) -> Field:
     """Fine-step ICN solution used as the Burgers 'exact' state at t_final.
 
     A memoized trajectory serves its last row: at every cadence, and in
     every stride ``states[m-1::m]`` of it, that row is the final state.
     Otherwise only the final state is integrated, in O(N) memory, and the
-    memo gains no entry.  With a cache directory the field is persisted as
-    ``burgers-ref-....csv`` (17 significant digits, so reloading is
-    bit-exact), keyed by all parameters, next to the sweeps'
-    ``burgers-ref-...-every<cadence>.npy`` trajectories.  A cached file
-    that is not a whole reference is integrated again and rewritten.
+    memo gains no entry.  No file is read or written here: a sweep's
+    ``.npy`` trajectory is the one cached form of the reference, and the
+    final-state CSV beside it is derived from its last row.
     """
     grid = Grid1D(n_cells)
     if t_final == 0.0:
         return initial_condition(grid)
-    path = None
-    if cache_dir is not None:
-        path = _reference_path(
-            cache_dir, n_cells, dt_fine, t_final, viscosity, ".csv"
-        )
-        values = _read_reference(path, n_cells)
-        if values is not None:
-            return Field(grid, values)
-    key = _memo_key(grid, dt_fine, t_final, viscosity)
+    key = (grid, dt_fine, t_final, viscosity)
     if key in _reference_memo:
         final = _reference_memo[key][1][-1].copy()
     else:
         steps = steps_for(t_final, dt_fine)
         (final,) = _integrate_reference(grid, dt_fine, steps, viscosity, steps)
-    if path is not None:
-        lines = ["x,u"]
-        for x, v in zip(grid.nodes(), final):
-            lines.append(f"{x:.17e},{v:.17e}")
-        content = "\n".join(lines).encode() + b"\n"
-        _write_atomic(path, lambda handle: handle.write(content))
     return Field(grid, final)
 
 
@@ -455,32 +412,22 @@ def _resolution_cells(
     rows = len(spec.schemes)
     u0 = np.tile(initial_condition(grid).values, (rows, 1))
     f = spec.problem.array_rhs(grid, rows)
+    mean = _MeanNorms(grid.dx, rows)
     if spec.is_burgers:
+        # the mean over every step against the reference state at its time
         stride = sample_lcm // resolution
 
-        def target(i: int) -> np.ndarray:
-            return reference[(i + 1) * stride - 1]
-
-        final_target = target(steps - 1)
-    else:
-        nodes = grid.nodes()
-
-        def target(i: int) -> np.ndarray:
-            return spec.problem.exact_solution(nodes, (i + 1) * dt)
-
-        final_target = spec.problem.exact_solution(nodes, spec.t_final)
-    mean = _MeanNorms(grid.dx, rows)
-    if spec.effective_time_averaged:
         def observe(i: int, u: np.ndarray) -> None:
-            mean.add(u - target(i))
+            mean.add(u - reference[(i + 1) * stride - 1])
 
         _, diverged_at = _run(u0, spec.schemes, f, dt, range(steps), observe)
     else:
         # the snapshot is the mean over the one final state
         final, diverged_at = _run(u0, spec.schemes, f, dt, range(steps))
+        exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
         # diverged rows hold inf and nan; their norms are dropped below
         with np.errstate(over="ignore", invalid="ignore"):
-            mean.add(final - final_target)
+            mean.add(final - exact)
     return [
         (None, int(step)) if step >= 0 else (mean.result(k), None)
         for k, step in enumerate(diverged_at)
@@ -535,7 +482,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             spec.reference_dt,
             spec.t_final,
             spec.problem.viscosity,
-            spec.reference_divisor // sample_lcm,
+            REFERENCE_DIVISOR // sample_lcm,
             spec.cache_dir,
         )
     by_resolution = [

@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
     except ValueError as err:
         raise UsageError(f"--n: {err}") from err
     if args.problem == "burgers":
-        dt = args.dt if args.dt is not None else 0.5 * grid.dx**2
+        dt = args.dt if args.dt is not None else analysis.burgers_dt(args.n)
     else:
         cfl = args.cfl if args.cfl is not None else 0.5
         dt = cfl * grid.dx / abs(problem.advection_speed)
@@ -174,11 +174,10 @@ def cmd_run(args) -> int:
     if problem.has_exact:
         reference = problem.exact_field(grid, args.t_final)
     else:
-        delta = 0.5 * grid.dx**2
+        dt_fine = analysis.burgers_dt(args.n) / analysis.REFERENCE_DIVISOR
         try:
             reference = analysis.burgers_reference(
-                args.n, delta / analysis.REFERENCE_DIVISOR, args.t_final,
-                problem.viscosity,
+                args.n, dt_fine, args.t_final, problem.viscosity
             )
         except ValueError as err:
             raise UsageError(f"--t-final: {err}") from err
@@ -220,7 +219,8 @@ def cmd_sweep(args) -> int:
                 cache_dir=args.cache_dir,
             )
         else:
-            for flag, value in (("--n", args.n), ("--dt-base", args.dt_base)):
+            for flag, value in (("--n", args.n), ("--dt-base", args.dt_base),
+                                ("--cache-dir", args.cache_dir)):
                 if value is not None:
                     raise UsageError(f"{flag} applies to burgers only")
             problem = (
@@ -238,8 +238,7 @@ def cmd_sweep(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
 
-    persist = spec.is_burgers and spec.cache_dir is not None
-    if persist:
+    if spec.cache_dir is not None:
         try:
             Path(spec.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as err:
@@ -252,13 +251,6 @@ def cmd_sweep(args) -> int:
         suffix = args.out.suffix or extension
         path = args.out.with_name(f"{args.out.stem}_{norm}{suffix}")
         output.write_text(path, render(result, norm))
-    if persist:
-        # after the tables, so a failed write loses no table; the sweep's
-        # memoized trajectory serves the final state
-        analysis.burgers_reference(
-            spec.n_cells, spec.reference_dt, spec.t_final,
-            spec.problem.viscosity, cache_dir=spec.cache_dir,
-        )
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Uniform periodic 1-D grid, nodal fields, and centered difference operators.
 
 Everything downstream (problem right-hand sides, time steppers, stencil
-oracles) is built from the wrapped-index operators defined here.
+oracles) is built from the periodic operators defined here.
 """
 from __future__ import annotations
 
@@ -20,30 +20,27 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid with ``n_cells`` nodes, x_j = x_min + j*dx.
+    """Uniform periodic grid on [0, 1) with ``n_cells`` nodes, x_j = j*dx.
 
-    The point x_max is identified with x_min, so there is no duplicated
-    endpoint node and dx = (x_max - x_min) / n_cells.
+    The point 1 is identified with 0, so there is no duplicated endpoint
+    node and dx = 1 / n_cells.  Every problem is posed on this interval:
+    sin^2(pi x) and the exact advection solutions have period 1.
     """
 
     n_cells: int
-    x_min: float = 0.0
-    x_max: float = 1.0
 
     def __post_init__(self):
         if self.n_cells < 4:
             # the widest stencil reaches j +- 3; wrap needs at least 4 nodes
             raise ValueError("n_cells must be at least 4")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n_cells
+        return 1.0 / self.n_cells
 
     def nodes(self) -> np.ndarray:
         """Node coordinates x_0 .. x_{N-1}."""
-        return self.x_min + np.arange(self.n_cells) * self.dx
+        return np.arange(self.n_cells) * self.dx
 
 
 @dataclass(eq=False)
@@ -69,51 +66,11 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-def wrap_index(j: int, n: int) -> int:
-    """Map any integer node index into [0, n) periodically."""
-    return j % n
-
-
-def delta1(u: Field, j: int) -> float:
-    """u[j+1] - u[j-1] with periodic wrap."""
-    v = u.values
-    n = u.grid.n_cells
-    return v[wrap_index(j + 1, n)] - v[wrap_index(j - 1, n)]
-
-
-def delta2(u: Field, j: int) -> float:
-    """u[j+2] - 2 u[j] + u[j-2] with periodic wrap."""
-    v = u.values
-    n = u.grid.n_cells
-    return v[wrap_index(j + 2, n)] - 2.0 * v[j] + v[wrap_index(j - 2, n)]
-
-
-def delta3(u: Field, j: int) -> float:
-    """u[j+3] - 3 u[j+1] + 3 u[j-1] - u[j-3] with periodic wrap."""
-    v = u.values
-    n = u.grid.n_cells
-    return (
-        v[wrap_index(j + 3, n)]
-        - 3.0 * v[wrap_index(j + 1, n)]
-        + 3.0 * v[wrap_index(j - 1, n)]
-        - v[wrap_index(j - 3, n)]
-    )
-
-
-def second_derivative(u: Field, j: int, dx: float) -> float:
-    """Centered three-point u_xx estimate at node j."""
-    v = u.values
-    n = u.grid.n_cells
-    return (
-        v[wrap_index(j + 1, n)] - 2.0 * v[j] + v[wrap_index(j - 1, n)]
-    ) / (dx * dx)
-
-
-# Whole-field versions of the operators above, with np.roll as the periodic
-# wrap. They agree with the scalar forms bit for bit and stay as the plain
-# statement of the operators: the closed-form stencils and the tests use them
-# as oracles. The right-hand sides use the gather forms in PeriodicShifts,
-# which give the same numbers without np.roll's per-call cost.
+# The whole-field operators, with np.roll as the periodic wrap. They stay as
+# the plain statement of the operators: the closed-form stencils and the
+# tests use them as oracles. The right-hand sides use the gather forms in
+# PeriodicShifts, which give the same numbers without np.roll's per-call
+# cost.
 
 def delta1_array(values: np.ndarray) -> np.ndarray:
     return np.roll(values, -1) - np.roll(values, 1)

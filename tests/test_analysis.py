@@ -145,15 +145,6 @@ def test_burgers_reference_self_convergence():
     assert gap <= 2e-9
 
 
-def test_burgers_reference_cache_roundtrip(tmp_path):
-    grid = Grid1D(30)
-    delta = 0.5 * grid.dx**2
-    fresh = burgers_reference(30, delta / 4.0, 0.25, cache_dir=tmp_path)
-    assert len(list(tmp_path.glob("burgers-ref-*.csv"))) == 1
-    cached = burgers_reference(30, delta / 4.0, 0.25, cache_dir=tmp_path)
-    assert np.array_equal(fresh.values, cached.values)
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -169,16 +160,24 @@ def test_burgers_reference_cache_roundtrip(tmp_path):
     ids=["truncated", "no-comma", "header", "nan", "three-cells",
          "extra-row", "empty"],
 )
-def test_burgers_reference_recomputes_corrupt_cache(tmp_path, corrupt):
+def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
+                                                   corrupt):
+    # the final-state CSV is derived from the trajectory and never read: a
+    # rerun that takes its states from the .npy rewrites whatever the CSV
+    # holds, byte for byte
+    monkeypatch.setattr(analysis, "_reference_memo", {})
     grid = Grid1D(30)
-    delta = 0.5 * grid.dx**2
-    fresh = burgers_reference(30, delta / 4.0, 0.125, cache_dir=tmp_path)
+    args = (grid, 0.5 * grid.dx**2 / 4.0, 0.125, 0.01, 100, tmp_path)
+    fresh = analysis._reference_trajectory(*args)
     (path,) = tmp_path.glob("burgers-ref-*.csv")
     good = path.read_text()
     lines = corrupt(good.splitlines())
     path.write_text("".join(line + "\n" for line in lines))
-    again = burgers_reference(30, delta / 4.0, 0.125, cache_dir=tmp_path)
-    assert np.array_equal(again.values, fresh.values)
+    analysis._reference_memo.clear()
+    calls = count_integrations(monkeypatch)
+    again = analysis._reference_trajectory(*args)
+    assert calls == []
+    assert again.tobytes() == fresh.tobytes()
     assert path.read_text() == good
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -198,14 +197,14 @@ def count_integrations(monkeypatch):
 
 def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path,
                                                          monkeypatch):
-    # the persisted trajectory ends on the final state of the CSV, and both
-    # equal what an uncached process integrates, bit for bit
+    # the persisted trajectory ends on the final state of the CSV written
+    # beside it, and both equal what an uncached process integrates, bit
+    # for bit
     monkeypatch.setattr(analysis, "_reference_memo", {})
     grid = Grid1D(30)
     dt_fine = 0.5 * grid.dx**2 / 32
     analysis._reference_trajectory(grid, dt_fine, 0.015625, 0.01, 4,
                                    tmp_path)
-    burgers_reference(30, dt_fine, 0.015625, cache_dir=tmp_path)
     (npy,) = tmp_path.glob("burgers-ref-*-every4.npy")
     (csv,) = tmp_path.glob("burgers-ref-*.csv")
     states = np.load(npy, allow_pickle=False)
@@ -362,19 +361,6 @@ def test_sweep_spec_rejects_bad_grids_and_steps():
             burgers_sweep([ICN], dt_base=dt_base)
 
 
-def test_sweep_spec_time_average_defaults():
-    assert not small_linear_spec().effective_time_averaged
-    assert burgers_sweep([ICN]).effective_time_averaged
-    forced = SweepSpec(
-        problem=linear_advection(),
-        schemes=(ICN,),
-        resolutions=(100,),
-        t_final=0.5,
-        time_averaged=True,
-    )
-    assert forced.effective_time_averaged
-
-
 @st.composite
 def scheme_batches(draw):
     """A random subset of the five variants in random order, each with a
@@ -424,57 +410,52 @@ def per_cell(spec, scheme, resolution):
     grid = Grid1D(spec.n_cells if spec.is_burgers else resolution)
     dt = spec.dt(resolution)
     steps = steps_for(spec.t_final, dt)
+
+    def norms(e):
+        return np.array([grid.dx * np.sum(np.abs(e)),
+                         grid.dx * math.sqrt(np.sum(e * e)),
+                         np.max(np.abs(e))])
+
+    sums = np.zeros(3)
+    observer = None
     if spec.is_burgers:
+        # time-averaged against the reference
         sample_lcm = math.lcm(*spec.resolutions)
         reference = analysis._reference_trajectory(
             grid, spec.reference_dt, spec.t_final, spec.problem.viscosity,
-            spec.reference_divisor // sample_lcm,
+            analysis.REFERENCE_DIVISOR // sample_lcm,
         )
         stride = sample_lcm // resolution
-        targets = [reference[(i + 1) * stride - 1] for i in range(steps)]
-        final_target = targets[-1]
-    else:
-        nodes = grid.nodes()
-        targets = [spec.problem.exact_solution(nodes, (i + 1) * dt)
-                   for i in range(steps)]
-        final_target = spec.problem.exact_solution(nodes, spec.t_final)
-    sums = np.zeros(3)
-    observer = None
-    if spec.effective_time_averaged:
+
         def observer(i, state):
-            e = state.values - targets[i]
-            sums[:] += [grid.dx * np.sum(np.abs(e)),
-                        grid.dx * math.sqrt(np.sum(e * e)),
-                        np.max(np.abs(e))]
+            sums[:] += norms(state.values - reference[(i + 1) * stride - 1])
     try:
         final = integrate(initial_condition(grid), scheme, spec.problem.rhs,
                           dt, steps, observer)
     except DivergenceError as err:
         return None, err.step_index
-    if spec.effective_time_averaged:
+    if spec.is_burgers:
         return tuple(float(v / steps) for v in sums), None
-    norms = analysis._norms(final.values - final_target, grid.dx)
-    return (norms.l1, norms.l2, norms.linf), None
+    # one snapshot against the exact solution
+    exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
+    return tuple(float(v) for v in norms(final.values - exact)), None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     schemes=scheme_batches(),
     problem=st.sampled_from(PROBLEMS),
-    time_averaged=st.booleans(),
     multiple=st.integers(1, 4),
 )
-def test_run_sweep_matches_per_cell_oracle(
-    schemes, problem, time_averaged, multiple
-):
+def test_run_sweep_matches_per_cell_oracle(schemes, problem, multiple):
     # the advection grids reach N = 200, where the row-wise sums take
     # numpy's pairwise branch (blocks of 128)
     if problem.has_exact:
         spec = SweepSpec(problem, schemes, (100, 200),
-                         t_final=multiple * 0.005, time_averaged=time_averaged)
+                         t_final=multiple * 0.005)
     else:
         spec = SweepSpec(problem, schemes, (1, 2), t_final=multiple * 0.001,
-                         dt_base=0.001, time_averaged=time_averaged)
+                         dt_base=0.001)
     result = run_sweep(spec)
     for scheme, table in zip(schemes, result.tables):
         for resolution, row in zip(spec.resolutions, table.rows):

@@ -1,5 +1,6 @@
 import argparse
 import io
+import os
 import subprocess
 import sys
 
@@ -10,11 +11,12 @@ from icnlab import analysis
 from icnlab.cli import build_parser, main
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "icnlab", *map(str, args)],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -129,15 +131,21 @@ def test_run_burgers_reference_column(tmp_path):
         ["sweep", "--problem", "burgers", "--schemes", "icn", "--dt-base",
          "0.001", "--t-final", "0.004", "--resolutions", "1", "--cache-dir",
          "file.txt", "--out", "s.csv"],
+        # a reference cache directory for a problem that has no reference
+        ["sweep", "--problem", "linear", "--schemes", "icn", "--resolutions",
+         "100", "--cache-dir", "cache", "--out", "t.csv"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, args):
     (tmp_path / "file.txt").write_text("")
-    args = [str(tmp_path / a) if a.endswith((".csv", ".pgm", ".txt")) else a
+    args = [str(tmp_path / a)
+            if a.endswith((".csv", ".pgm", ".txt", "cache")) else a
             for a in args]
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.strip()
+    # nothing is written: no output, no cache directory
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
 def test_argparse_errors_exit_2(tmp_path):
@@ -265,13 +273,22 @@ def test_run_burgers_keeps_no_reference_trajectory(tmp_path):
     assert analysis._reference_memo == {}
 
 
+def _change_one_digit(line):
+    """The row with the first decimal of its u value changed: still a
+    well-formed row, but no longer the reference."""
+    x, u = line.split(",")
+    digit = str((int(u[2]) + 1) % 10)
+    return f"{x},{u[:2]}{digit}{u[3:]}"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda lines: lines[:20],
         lambda lines: lines[:5] + [lines[5].replace(",", "")] + lines[6:],
+        lambda lines: lines[:5] + [_change_one_digit(lines[5])] + lines[6:],
     ],
-    ids=["cut-to-20-lines", "line-without-comma"],
+    ids=["cut-to-20-lines", "line-without-comma", "one-digit-changed"],
 )
 def test_sweep_recomputes_corrupt_reference_cache(tmp_path, corrupt):
     args = ["sweep", "--problem", "burgers", "--schemes", "icn",
@@ -459,6 +476,29 @@ def test_sweep_repeat_is_byte_identical(tmp_path):
         assert (a_dir / f"t_{norm}.csv").read_bytes() == (
             b_dir / f"t_{norm}.csv"
         ).read_bytes()
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    # two fresh processes that hash strings differently write the same
+    # sweep tables and maps
+    outputs = {}
+    for seed in ("0", "4242"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        for args in (
+            ("sweep", "--problem", "semilinear", "--resolutions", "100,200",
+             "--format", "markdown", "--out", out / "s.md"),
+            ("sweep", "--problem", "burgers", "--resolutions", "1,2",
+             "--t-final", "0.005", "--out", out / "b.csv"),
+            ("stability", "--variant", "aa", "--resolution", "21",
+             "--out", out / "map.csv", "--pgm", out / "map.pgm"),
+        ):
+            proc = run_cli(*args, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs[seed] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["0"]) == 8
+    assert outputs["0"] == outputs["4242"]
 
 
 def test_stability_point_query(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from icnlab.core import Grid1D
@@ -99,6 +99,21 @@ def test_scan_aa_mirror_symmetry_exact():
     n = len(scan.theta_axis)
     for k in range(n // 2):
         assert np.array_equal(scan.modulus[:, k], scan.modulus[:, n - 1 - k])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lo=st.floats(-1.0, 0.5),
+    beta=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted),
+    resolution=st.integers(2, 41),
+)
+def test_scan_aa_mirror_symmetry_property(lo, beta, resolution):
+    # any theta range symmetric about 1/2 in floating point gives a map
+    # whose columns mirror bit for bit
+    hi = 1.0 - lo
+    assume(lo + hi == 1.0)
+    scan = scan_region("aa", (lo, hi), tuple(beta), resolution)
+    assert scan.modulus.tobytes() == scan.modulus[:, ::-1].tobytes()
 
 
 def test_scan_theta_axis_complement_exact():
