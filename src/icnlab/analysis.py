@@ -85,11 +85,18 @@ def steps_for(t_final: float, dt: float) -> int:
 
 # The Burgers reference runs ICN at this fraction of the base time step.
 REFERENCE_DIVISOR = 32
+# The advection problems' default CFL number.
+CFL = 0.5
 
 
 def burgers_dt(n_cells: int) -> float:
     """Default Burgers base time step, 0.5 dx^2 on the n_cells grid."""
     return 0.5 * Grid1D(n_cells).dx ** 2
+
+
+def advection_dt(problem: Problem, n_cells: int, cfl: float = CFL) -> float:
+    """Advection time step cfl dx / |a| on the n_cells grid."""
+    return cfl * Grid1D(n_cells).dx / abs(problem.advection_speed)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ class SweepSpec:
     schemes: tuple[SchemeConfig, ...]
     resolutions: tuple[int, ...]
     t_final: float
-    cfl: float = 0.5
+    cfl: float = CFL
     n_cells: int = 30
     dt_base: float | None = None
     cache_dir: str | Path | None = None
@@ -164,15 +171,14 @@ class SweepSpec:
         """Time step of the cells at one grid size or dt divisor."""
         if self.is_burgers:
             return self.base_dt / resolution
-        grid = Grid1D(resolution)
-        return self.cfl * grid.dx / abs(self.problem.advection_speed)
+        return advection_dt(self.problem, resolution, self.cfl)
 
 
 def advection_sweep(
     problem: Problem,
     schemes,
     resolutions=(100, 200, 400, 800, 1600),
-    cfl: float = 0.5,
+    cfl: float = CFL,
     t_final: float = 0.5,
 ) -> SweepSpec:
     """Grid-refinement study at fixed CFL against the exact solution."""
@@ -298,12 +304,17 @@ def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
 
 def _write_atomic(path: Path, write) -> None:
     """``write(handle)`` into a temporary file that then replaces ``path``,
-    so a reader never sees a partial file."""
+    so a reader never sees a partial file; if either step fails, the
+    temporary file is removed and the error raised."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as handle:
-        write(handle)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _final_state_csv(grid: Grid1D, final: np.ndarray) -> bytes:

@@ -26,14 +26,11 @@ DEFAULT_THETA = 0.6
 # the flag of each scheme parameter (schemes.PARAMETER), also its args name
 THETA_FLAGS = {"theta": "--theta", "theta1": "--theta1",
                "theta_odd": "--theta-o"}
-ADVECTION_RESOLUTIONS = (100, 200, 400, 800, 1600)
-BURGERS_DIVISORS = (1, 2, 4, 8)
-BURGERS_N = 30
-BURGERS_VISCOSITY = 0.01
-# table-reproduction defaults: snapshot errors at t = 0.5 for the advection
-# problems, time-averaged errors over (0, 1] for Burgers
-ADVECTION_T_FINAL = 0.5
-BURGERS_T_FINAL = 1.0
+# the constructor of each --problem, which supplies its defaults
+PROBLEMS = {"linear": problems.linear_advection,
+            "semilinear": problems.semilinear_advection,
+            "burgers": problems.burgers}
+VARIANTS = [variant.value for variant in SchemeVariant]
 
 
 class UsageError(Exception):
@@ -52,10 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="single integration to CSV")
-    run.add_argument("--problem", required=True,
-                     choices=["linear", "semilinear", "burgers"])
-    run.add_argument("--scheme", required=True,
-                     choices=[v.value for v in SchemeVariant])
+    run.add_argument("--problem", required=True, choices=list(PROBLEMS))
+    run.add_argument("--scheme", required=True, choices=VARIANTS)
     run.add_argument("--n", required=True, type=int, help="grid size")
     run.add_argument("--cfl", type=float, default=None,
                      help="advection problems: dt = cfl dx / |a| (default 0.5)")
@@ -66,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="convergence tables per norm")
-    sweep.add_argument("--problem", required=True,
-                       choices=["linear", "semilinear", "burgers"])
+    sweep.add_argument("--problem", required=True, choices=list(PROBLEMS))
     sweep.add_argument("--schemes", default="icn,theta,swapped,ga,aa",
                        help="comma-separated scheme list")
     sweep.add_argument("--resolutions", default=None,
@@ -79,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dt-base", type=float, default=None,
                        help="burgers base time step (default 0.5 dx^2)")
     sweep.add_argument("--t-final", type=float, default=None,
-                       help=f"default {ADVECTION_T_FINAL} for advection, "
-                            f"{BURGERS_T_FINAL} for burgers")
+                       help="default 0.5 for advection, 1 for burgers")
     sweep.add_argument("--norms", default="l1,l2,linf")
     sweep.add_argument("--format", default="csv", choices=["csv", "markdown"])
     sweep.add_argument("--cache-dir", type=Path, default=None,
@@ -94,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument(flag, dest=name, type=float, default=None)
 
     stab = sub.add_parser("stability", help="amplification-factor map")
-    stab.add_argument("--variant", required=True, choices=["ga", "aa"])
+    stab.add_argument("--variant", required=True, choices=VARIANTS)
     stab.add_argument("--theta-min", type=float, default=0.0)
     stab.add_argument("--theta-max", type=float, default=1.0)
     stab.add_argument("--beta-min", type=float, default=0.0)
@@ -136,20 +129,28 @@ def _schemes(names: str, args) -> list[SchemeConfig]:
     return configs
 
 
-def _run_problem(args):
+def _given(**options) -> dict:
+    """The options whose flag was given; the library supplies the rest."""
+    return {name: value for name, value in options.items()
+            if value is not None}
+
+
+def _problem(args, **burgers_only):
+    """The --problem's Problem.  Giving --cfl for burgers, or a flag of
+    ``burgers_only`` (dest -> value) for advection, is a usage error."""
     if args.problem == "burgers":
         if args.cfl is not None:
-            raise UsageError("--cfl does not apply to burgers; use --dt")
-        return problems.burgers(BURGERS_VISCOSITY)
-    if args.dt is not None:
-        raise UsageError("--dt applies to burgers only; use --cfl")
-    if args.problem == "linear":
-        return problems.linear_advection()
-    return problems.semilinear_advection()
+            raise UsageError("--cfl does not apply to burgers")
+    else:
+        for name, value in burgers_only.items():
+            if value is not None:
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"{flag} applies to burgers only")
+    return PROBLEMS[args.problem]()
 
 
 def cmd_run(args) -> int:
-    problem = _run_problem(args)
+    problem = _problem(args, dt=args.dt)
     (scheme,) = _schemes(args.scheme, args)
     if args.t_final < 0.0:
         raise UsageError("--t-final must be non-negative")
@@ -157,13 +158,12 @@ def cmd_run(args) -> int:
         grid = Grid1D(args.n)
     except ValueError as err:
         raise UsageError(f"--n: {err}") from err
-    if args.problem == "burgers":
-        dt = args.dt if args.dt is not None else analysis.burgers_dt(args.n)
+    if problem.has_exact:
+        dt = analysis.advection_dt(problem, args.n, **_given(cfl=args.cfl))
     else:
-        cfl = args.cfl if args.cfl is not None else 0.5
-        dt = cfl * grid.dx / abs(problem.advection_speed)
+        dt = args.dt if args.dt is not None else analysis.burgers_dt(args.n)
     if not 0.0 < dt < math.inf:
-        flag = "--dt" if args.problem == "burgers" else "--cfl"
+        flag = "--cfl" if problem.has_exact else "--dt"
         raise UsageError(f"{flag} must yield a positive finite time step")
     try:
         steps = steps_for(args.t_final, dt)
@@ -193,6 +193,7 @@ def cmd_sweep(args) -> int:
     for n in norms:
         if n not in NORM_KEYS:
             raise UsageError(f"--norms: unknown norm '{n}'")
+    resolutions = None
     if args.resolutions is not None:
         try:
             resolutions = tuple(
@@ -200,51 +201,31 @@ def cmd_sweep(args) -> int:
             )
         except ValueError as err:
             raise UsageError(f"--resolutions: {err}") from err
-    else:
-        resolutions = (
-            BURGERS_DIVISORS if args.problem == "burgers"
-            else ADVECTION_RESOLUTIONS
-        )
+    problem = _problem(
+        args, n=args.n, dt_base=args.dt_base, cache_dir=args.cache_dir
+    )
     try:
-        if args.problem == "burgers":
-            if args.cfl is not None:
-                raise UsageError("--cfl does not apply to burgers")
-            spec = burgers_sweep(
-                schemes,
-                dt_divisors=resolutions,
-                n_cells=args.n if args.n is not None else BURGERS_N,
-                t_final=(args.t_final if args.t_final is not None
-                         else BURGERS_T_FINAL),
-                dt_base=args.dt_base,
-                cache_dir=args.cache_dir,
-            )
+        if problem.has_exact:
+            spec = advection_sweep(problem, schemes, **_given(
+                resolutions=resolutions, cfl=args.cfl, t_final=args.t_final,
+            ))
         else:
-            for flag, value in (("--n", args.n), ("--dt-base", args.dt_base),
-                                ("--cache-dir", args.cache_dir)):
-                if value is not None:
-                    raise UsageError(f"{flag} applies to burgers only")
-            problem = (
-                problems.linear_advection() if args.problem == "linear"
-                else problems.semilinear_advection()
-            )
-            spec = advection_sweep(
-                problem,
-                schemes,
-                resolutions=resolutions,
-                cfl=args.cfl if args.cfl is not None else 0.5,
-                t_final=(args.t_final if args.t_final is not None
-                         else ADVECTION_T_FINAL),
-            )
+            spec = burgers_sweep(schemes, **_given(
+                dt_divisors=resolutions, n_cells=args.n,
+                t_final=args.t_final, dt_base=args.dt_base,
+                cache_dir=args.cache_dir,
+            ))
     except ValueError as err:
         raise UsageError(str(err)) from err
 
-    if spec.cache_dir is not None:
-        try:
+    try:
+        if spec.cache_dir is not None:
             Path(spec.cache_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise UsageError(f"--cache-dir: {err}") from err
-
-    result = analysis.run_sweep(spec)
+        # the reference cache is the one file a sweep writes before its
+        # tables, so a failed write leaves no table behind
+        result = analysis.run_sweep(spec)
+    except OSError as err:
+        raise UsageError(f"--cache-dir: {err}") from err
     render = output.sweep_csv if args.format == "csv" else output.sweep_markdown
     extension = ".csv" if args.format == "csv" else ".md"
     for norm in norms:

@@ -9,26 +9,26 @@ same two-iteration step with averaging weights (w1, s, w2):
     average   u- = w2 u~ + (1 - w2) u
     update    u' = u + dt L(u-)
 
-and the variants differ only in the weights (SchemeConfig.weights):
+and the variants differ only in the weights, which the one table WEIGHTS
+gives per variant, parameter and step parity.  icn is the classical
+scheme; theta and swapped weight by theta; ga constrains the geometric
+mean of its averaging weights to 1/2, with a second predictor of 2 theta1
+dt to stay time-centred; aa alternates the theta step between theta_odd
+and 1 - theta_odd (arithmetic mean 1/2).
 
-  icn        (1/2, 1, 1/2), the classical scheme
-  theta      (theta, 1, theta)
-  swapped    (theta, 1, 1 - theta)
-  ga         (theta1, 2 theta1, theta2) with theta2 = 1/(4 theta1): the
-             geometric mean of the averaging weights is 1/2, and the second
-             predictor advances by 2 theta1 dt to stay time-centered
-  aa         (theta, 1, theta) with theta alternating between theta_odd and
-             1 - theta_odd on consecutive steps (arithmetic mean 1/2)
-
-The ga/aa weight constraints cancel the leading first-order error term, so
-both recover second order at theta != 1/2.  On linear advection u_t + a u_x
-= 0, with R = a dt / (2 dx), c2 = s w2 and c3 = s w1 w2, every variant's
-step is the seven-point stencil
+Read as a Runge-Kutta method, the step has nodes c = (0, w1, s w2), a21 =
+w1, a32 = s w2 and b = (0, 0, 1).  Its stability polynomial is
+R(z) = 1 + z + c2 z^2 + c3 z^3 with (c2, c3) = (s w2, s w1 w2)
+(coefficients), and it is second order iff s w2 = 1/2: ga meets that at
+every theta1, and aa's pair of steps cancels its error (theta - 1/2) +
+(1/2 - theta).  On linear advection u_t + a u_x = 0, with R = a dt / (2 dx),
+the step is the seven-point stencil
 
     u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u        (linear_stencil)
 
-whose factor on a Fourier mode, with beta = R sin(k dx), is
-g = 1 - 2i beta - 4 c2 beta^2 + 8i c3 beta^3 (stability.amplification).
+and a Fourier mode with beta = R sin(k dx) gains the factor R(z) at
+z = -2i beta, the stability polynomial rather than the Courant number
+(stability.amplification).
 
 One loop, ``_run``, advances the rows of a (K, N) state on raw nodal
 arrays, row k by its own scheme: each weight is a (K, 1) column per step
@@ -89,40 +89,6 @@ def _array_form(rhs: RhsOperator, grid: Grid1D) -> ArrayOperator:
     return lambda v: rhs(Field(grid, v)).values
 
 
-def linear_stencil(
-    u: Field, courant: float, w1: float, s: float, w2: float
-) -> Field:
-    """The step of weights (w1, s, w2) on u_t + a u_x = 0 in closed form,
-    R = a dt / (2 dx): u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u."""
-    v = u.values
-    c2 = s * w2 * courant * courant
-    c3 = s * w1 * w2 * courant * courant * courant
-    out = (
-        v
-        - courant * delta1_array(v)
-        + c2 * delta2_array(v)
-        - c3 * delta3_array(v)
-    )
-    return u.with_values(out)
-
-
-def ga_linear_stencil(
-    u: Field, courant: float, theta1: float, theta2: float
-) -> Field:
-    """The ga step, weights (theta1, 2 theta1, theta2), as a stencil;
-    equal to step_ga on linear advection when theta2 = 1/(4 theta1)."""
-    if theta1 <= 0.0 or theta2 <= 0.0:
-        raise ValueError("stencil weights must be positive")
-    return linear_stencil(u, courant, theta1, 2.0 * theta1, theta2)
-
-
-def aa_linear_stencil(u: Field, courant: float, theta: float) -> Field:
-    """One aa step of weight theta, weights (theta, 1, theta), as a stencil."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return linear_stencil(u, courant, theta, 1.0, theta)
-
-
 class SchemeVariant(str, Enum):
     ICN = "icn"
     THETA_ICN = "theta"
@@ -139,6 +105,65 @@ PARAMETER: dict[SchemeVariant, str | None] = {
     SchemeVariant.GA: "theta1",
     SchemeVariant.AA: "theta_odd",
 }
+
+# Each variant's weights (w1, s, w2) from its parameter p, one triple per
+# step of the period over which they repeat: aa is the theta step with p
+# and then 1 - p.
+WEIGHTS: dict[SchemeVariant, Callable[..., tuple]] = {
+    SchemeVariant.ICN: lambda p: ((0.5, 1.0, 0.5),),
+    SchemeVariant.THETA_ICN: lambda p: ((p, 1.0, p),),
+    SchemeVariant.SWAPPED_THETA_ICN: lambda p: ((p, 1.0, 1.0 - p),),
+    SchemeVariant.GA: lambda p: ((p, 2.0 * p, 1.0 / (4.0 * p)),),
+    SchemeVariant.AA: lambda p: ((p, 1.0, p), (1.0 - p, 1.0, 1.0 - p)),
+}
+
+
+def coefficients(w1: float, s: float, w2: float) -> tuple[float, float]:
+    """(c2, c3) = (s w2, s w1 w2) of a step of weights (w1, s, w2)."""
+    return s * w2, s * w1 * w2
+
+
+def period_coefficients(variant: SchemeVariant, p=None) -> tuple:
+    """(c2, c3) of each step in one period of the variant's weights.
+
+    p may be an array.  ga's is written as (1/2, theta1/2), its constraint
+    s w2 = 1/2 without theta2 = 1/(4 theta1), so theta1 = 0 has a value.
+    """
+    if variant is SchemeVariant.GA:
+        return ((0.5, 0.5 * p),)
+    return tuple(coefficients(*weights) for weights in WEIGHTS[variant](p))
+
+
+def linear_stencil(
+    u: Field, courant: float, w1: float, s: float, w2: float
+) -> Field:
+    """The step of weights (w1, s, w2) on u_t + a u_x = 0 in closed form,
+    R = a dt / (2 dx): u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u."""
+    v = u.values
+    c2, c3 = coefficients(w1, s, w2)
+    out = (
+        v
+        - courant * delta1_array(v)
+        + c2 * courant * courant * delta2_array(v)
+        - c3 * courant * courant * courant * delta3_array(v)
+    )
+    return u.with_values(out)
+
+
+def ga_linear_stencil(
+    u: Field, courant: float, theta1: float, theta2: float
+) -> Field:
+    """The ga step with its last weight set to theta2, as a stencil; equal
+    to step_ga on linear advection when theta2 = 1/(4 theta1)."""
+    if not theta2 > 0.0:
+        raise ValueError("stencil weights must be positive")
+    w1, s, _ = SchemeConfig.ga(theta1).weights()
+    return linear_stencil(u, courant, w1, s, theta2)
+
+
+def aa_linear_stencil(u: Field, courant: float, theta: float) -> Field:
+    """One aa step of weight theta as a stencil."""
+    return linear_stencil(u, courant, *SchemeConfig.aa(theta).weights())
 
 
 @dataclass(frozen=True)
@@ -192,13 +217,13 @@ class SchemeConfig:
     def theta2(self) -> float:
         if self.variant is not SchemeVariant.GA:
             raise AttributeError("theta2 is defined for the ga scheme only")
-        return 1.0 / (4.0 * self.theta1)
+        return self.weights()[2]
 
     @property
     def theta_even(self) -> float:
         if self.variant is not SchemeVariant.AA:
             raise AttributeError("theta_even is defined for the aa scheme only")
-        return 1.0 - self.theta_odd
+        return self.weights(1)[0]
 
     def label(self) -> str:
         """Short deterministic tag used in table output, e.g. ga(0.6)."""
@@ -209,17 +234,9 @@ class SchemeConfig:
 
     def weights(self, step_index: int = 0) -> tuple[float, float, float]:
         """Averaging weights (w1, s, w2) of step ``step_index`` (from 0)."""
-        v = self.variant
-        if v is SchemeVariant.ICN:
-            return (0.5, 1.0, 0.5)
-        if v is SchemeVariant.THETA_ICN:
-            return (self.theta, 1.0, self.theta)
-        if v is SchemeVariant.SWAPPED_THETA_ICN:
-            return (self.theta, 1.0, 1.0 - self.theta)
-        if v is SchemeVariant.GA:
-            return (self.theta1, 2.0 * self.theta1, self.theta2)
-        theta = self.theta_odd if step_index % 2 == 0 else self.theta_even
-        return (theta, 1.0, theta)
+        name = PARAMETER[self.variant]
+        period = WEIGHTS[self.variant](getattr(self, name) if name else None)
+        return period[step_index % len(period)]
 
     def step(
         self, u: Field, rhs: RhsOperator, dt: float, step_index: int = 0
@@ -345,14 +362,13 @@ def step_theta_icn(
     -(theta - 1/2) for swapped, so the two errors mirror each other.
 
     For theta > 1/2 the swapped scheme is weakly unstable.  On linear
-    advection its factor g = 1 - 2i beta - 4 (1 - theta) beta^2
-    + 8i theta (1 - theta) beta^3 has |g|^2 = 1 + 4 beta^2 (2 theta - 1)
-    + O(beta^4) > 1 for small beta.  At theta = 0.6 and CFL 0.5
-    (R = 1/4) the worst mode gains about 1.5% per step, so round-off grows
-    like 1.015^n: the L-infinity order at N = 1600 drops to 0.98 (theta
-    gives 1.00), at N = 3200 the linear error reaches 3e5 and the
-    semilinear run diverges.  Refinement studies of swapped must stop at
-    N = 1600.
+    advection its factor has |g|^2 = 1 + 4 beta^2 (2 theta - 1)
+    + O(beta^4) > 1 for small beta (scan_region("swapped")).  At theta =
+    0.6 and CFL 0.5 (R = 1/4) the worst mode gains about 1.5% per step, so
+    round-off grows like 1.015^n: the L-infinity order at N = 1600 drops
+    to 0.98 (theta gives 1.00), at N = 3200 the linear error reaches 3e5
+    and the semilinear run diverges.  Refinement studies of swapped must
+    stop at N = 1600.
     """
     config = (SchemeConfig.swapped_theta_icn(theta) if swapped
               else SchemeConfig.theta_icn(theta))

@@ -1,14 +1,22 @@
 import argparse
+import inspect
 import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icnlab import analysis
 from icnlab.cli import build_parser, main
+from icnlab.problems import linear_advection
+from icnlab.schemes import SchemeVariant
 
 
 def run_cli(*args, env=None):
@@ -313,6 +321,30 @@ def test_sweep_recomputes_corrupt_reference_cache(tmp_path, corrupt):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".npy"])
+def test_sweep_cache_write_failure_exits_2(tmp_path, capsys, suffix):
+    # a directory where a reference cache file goes makes its write fail:
+    # a usage error that names --cache-dir, no temporary file left behind
+    # and no table written
+    cache = tmp_path / "cache"
+    args = ["sweep", "--problem", "burgers", "--schemes", "icn",
+            "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+            "1,2", "--cache-dir", str(cache)]
+    analysis._reference_memo.clear()
+    assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+    (path,) = cache.glob(f"*{suffix}")
+    path.unlink()
+    path.mkdir()
+    analysis._reference_memo.clear()
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(args + ["--out", str(out / "t.csv")]) == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert list(cache.glob("*.tmp")) == []
+    assert list(out.iterdir()) == []
+
+
 def _corrupt_trajectory(path):
     states = np.load(path)
     corruptions = {
@@ -435,11 +467,15 @@ OUTPUTS = {"run": ["--out", "{out}/o.csv"], "sweep": ["--out", "{out}/t.csv"],
            "stability": ["--out", "{out}/m.csv", "--pgm", "{out}/m.pgm"]}
 
 
-def _float_flags():
+def _commands():
     (commands,) = [action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
+    return commands
+
+
+def _float_flags():
     return [(command, action.option_strings[0])
-            for command, parser in commands.items()
+            for command, parser in _commands().items()
             for action in parser._actions if action.type is float]
 
 
@@ -557,6 +593,14 @@ def test_stability_pgm_output(tmp_path):
     assert all(0 <= v <= 255 for v in values)
 
 
+@pytest.mark.parametrize("variant", [v.value for v in SchemeVariant])
+def test_stability_takes_every_variant(tmp_path, variant):
+    out = tmp_path / "m.csv"
+    assert main(["stability", "--variant", variant, "--resolution", "5",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 26
+
+
 def test_main_returns_exit_code_in_process(tmp_path, capsys):
     code = main([
         "stability", "--variant", "ga", "--theta-min", "2", "--theta-max",
@@ -564,3 +608,121 @@ def test_main_returns_exit_code_in_process(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# Flag values for the property below, by the flag's type: the edge floats
+# and ordinary ones (with a few that divide the default time steps), and
+# ints that are zero, negative or small (half of them valid grid sizes).
+FLOATS = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300,
+                     1e300])
+    | st.sampled_from([0.0625, 0.125, 0.25, 0.5, 0.6, 1.0])
+    | st.floats(-2.0, 2.0)
+)
+INTS = st.sampled_from([0, -1, -8]) | st.integers(1, 8) | st.integers(4, 8)
+# paths, one draw in four in a directory that does not exist
+PATHS = {"--out": ["{tmp}/o.csv"] * 3 + ["{tmp}/missing/o.csv"],
+         "--pgm": ["{tmp}/m.pgm"] * 3 + ["{tmp}/missing/m.pgm"],
+         "--cache-dir": ["{tmp}/cache"]}
+# the cell-steps a drawn argv may integrate, or the points it may scan
+WORK_LIMIT = 2000
+
+
+def _values(action):
+    """Text for one flag's value, drawn from its choices or its type."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is float:
+        return FLOATS.map(repr)
+    if action.type is int:
+        return INTS.map(str)
+    if action.type is Path:
+        return st.sampled_from(PATHS[action.option_strings[0]])
+    # a comma-separated list: of the default's items, or of ints
+    items = (st.sampled_from(action.default.split(",")) if action.default
+             else INTS.map(str))
+    return st.lists(items, min_size=1, max_size=3).map(",".join)
+
+
+# flags always given: the sweep's default resolutions and end times are
+# far outside the work bound, and so are many end times with the run's
+# default of 1
+ALWAYS = {"--resolutions", "--t-final"}
+
+
+@st.composite
+def _argvs(draw):
+    commands = _commands()
+    command = draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    for action in commands[command]._actions:
+        if not action.option_strings or action.nargs == 0:
+            continue
+        flag = action.option_strings[0]
+        # each other optional flag in about one argv of four
+        if (action.required or flag in ALWAYS
+                or draw(st.integers(0, 3)) == 0):
+            argv.append(f"{flag}={draw(_values(action))}")
+    return argv
+
+
+def _steps(t_final, dt):
+    try:
+        return analysis.steps_for(t_final, dt)
+    except ValueError:
+        return 0
+
+
+def _work(argv):
+    """An upper bound on the cell-steps that argv integrates, or on the
+    points it scans, if it is valid; an invalid argv stops before any
+    work."""
+    args = build_parser().parse_args(argv)
+    if args.command == "stability":
+        return args.resolution ** 2
+    if args.command == "run":
+        if args.n < 4:
+            return 0
+        if args.problem != "burgers":
+            cfl = analysis.CFL if args.cfl is None else args.cfl
+            return args.n * _steps(
+                args.t_final,
+                analysis.advection_dt(linear_advection(), args.n, cfl))
+        base = analysis.burgers_dt(args.n)
+        dt = base if args.dt is None else args.dt
+        return args.n * (_steps(args.t_final, dt) + _steps(
+            args.t_final, base / analysis.REFERENCE_DIVISOR))
+    try:
+        resolutions = [int(r) for r in args.resolutions.split(",")]
+    except ValueError:
+        return 0
+    # up to five schemes run at each resolution
+    if args.problem != "burgers":
+        cfl = analysis.CFL if args.cfl is None else args.cfl
+        return 5 * sum(r * _steps(
+            args.t_final, analysis.advection_dt(linear_advection(), r, cfl))
+            for r in resolutions if r >= 4)
+    n = args.n
+    if n is None:
+        n = inspect.signature(analysis.burgers_sweep).parameters[
+            "n_cells"].default
+    if n < 4:
+        return 0
+    base = analysis.burgers_dt(n) if args.dt_base is None else args.dt_base
+    reference = _steps(args.t_final, base / analysis.REFERENCE_DIVISOR)
+    return n * (reference + 5 * sum(
+        _steps(args.t_final, base / r) for r in resolutions if r > 0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT))
+def test_main_keeps_exit_code_contract_on_generated_argvs(argv):
+    # any argv the parser accepts, built from its own actions: 0, 2 or 3
+    # and no exception, and a usage error writes no output file
+    analysis._reference_memo.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main([a.format(tmp=tmp) for a in argv])
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            written = [p for p in Path(tmp).rglob("*") if p.is_file()]
+            assert written == [], argv

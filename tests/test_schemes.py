@@ -18,12 +18,14 @@ from icnlab.problems import (
     semilinear_advection,
 )
 from icnlab.schemes import (
+    PARAMETER,
     SchemeConfig,
     SchemeVariant,
     _kernel,
     aa_linear_stencil,
     ga_linear_stencil,
     integrate,
+    period_coefficients,
     step_aa,
     step_ga,
     step_icn,
@@ -429,3 +431,25 @@ def test_divergence_step_matches_per_call_checks(problem, n, dt, scheme):
         with pytest.raises(DivergenceError) as info:
             integrate(u0, scheme, rhs, dt, 2000)
         assert info.value.step_index == expected
+
+
+@pytest.mark.parametrize("scheme, parity", [
+    (SchemeConfig.icn(), 0),
+    (SchemeConfig.theta_icn(0.6), 0),
+    (SchemeConfig.swapped_theta_icn(0.6), 0),
+    (SchemeConfig.ga(0.6), 0),
+    (SchemeConfig.aa(0.6), 0),
+    (SchemeConfig.aa(0.6), 1),
+], ids=["icn", "theta", "swapped", "ga", "aa-odd", "aa-even"])
+def test_order_condition_oracle(scheme, parity):
+    # one step of u' = L(u) = -u^2 from u = 1, against u = 1 / (1 + t):
+    # a step with c2 = s w2 leaves the local error (c2 - 1/2) dt^2 L'L +
+    # O(dt^3), and L'L = 2 u^3 = 2 here; second order needs c2 = 1/2
+    dt = 1e-3
+    step = _kernel(np.array([1.0]), lambda v: -v * v, dt,
+                   *scheme.weights(parity))
+    fitted = (step[0] - 1.0 / (1.0 + dt)) / (2.0 * dt * dt)
+    name = PARAMETER[scheme.variant]
+    p = getattr(scheme, name) if name else None
+    c2, _ = period_coefficients(scheme.variant, p)[parity]
+    assert abs(fitted - (c2 - 0.5)) <= 1e-3

@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from icnlab.core import Grid1D
 from icnlab.problems import linear_advection
-from icnlab.schemes import SchemeConfig, _kernel
+from icnlab.schemes import SchemeConfig, SchemeVariant, _kernel
 from icnlab.stability import (
     STABILITY_TOLERANCE,
+    AmplificationResult,
     amplification,
     g_aa_composed,
     g_ga,
     g_theta_step,
+    period_factor,
     scan_region,
 )
 
@@ -145,7 +147,7 @@ def test_scan_degenerate_beta_range():
 
 def test_scan_validation():
     with pytest.raises(ValueError):
-        scan_region("icn")
+        scan_region("no-such-variant")
     with pytest.raises(ValueError):
         scan_region("ga", resolution=1)
     with pytest.raises(ValueError):
@@ -190,12 +192,25 @@ def test_one_step_dft_matches_amplification(theta, courant, n, seed):
         assert np.abs(ratio - (re + 1j * im)).max() <= 1e-12, (w1, s, w2)
 
 
+def g_icn(theta, beta):
+    # icn is ga at theta1 = 1/2, whatever the map's theta
+    return g_ga(0.5, beta)
+
+
+def g_swapped(theta, beta):
+    g = complex(*period_factor(SchemeVariant.SWAPPED_THETA_ICN, theta, beta))
+    return AmplificationResult(g, abs(g))
+
+
 @pytest.mark.parametrize(
     "theta_range, beta_range, resolution",
     [((0.0, 1.0), (0.0, 1.2), 41), ((0.15, 1.35), (0.3, 0.95), 23)],
     ids=["default-41", "asymmetric-23"],
 )
-@pytest.mark.parametrize("variant, point", [("ga", g_ga), ("aa", g_aa_composed)])
+@pytest.mark.parametrize("variant, point", [
+    ("ga", g_ga), ("aa", g_aa_composed), ("theta", g_theta_step),
+    ("icn", g_icn), ("swapped", g_swapped),
+])
 def test_scan_matches_scalar_factors_bitwise(
     variant, point, theta_range, beta_range, resolution
 ):
@@ -205,4 +220,22 @@ def test_scan_matches_scalar_factors_bitwise(
         for beta in scan.beta_axis
     ])
     assert scan.modulus.tobytes() == expected.tobytes()
+
+
+def test_icn_map_is_ga_half_column():
+    ga = scan_region("ga", resolution=41)
+    icn = scan_region("icn", resolution=41)
+    j = int(np.where(ga.theta_axis == 0.5)[0][0])
+    column = ga.modulus[:, j].tobytes()
+    assert all(icn.modulus[:, k].tobytes() == column for k in range(41))
+
+
+def test_swapped_map_shows_weak_instability():
+    # at theta = 0.6 and CFL 0.5 (R = 1/4) swapped's worst mode gains about
+    # 1.5% per step, where theta, its mirror image, is stable
+    window = dict(theta_range=(0.6, 0.6), beta_range=(0.0, 0.25))
+    swapped = scan_region("swapped", resolution=101, **window)
+    theta = scan_region("theta", resolution=101, **window)
+    assert swapped.modulus.max() == pytest.approx(1.0153, abs=1e-4)
+    assert theta.modulus.max() <= 1.0
 
