@@ -29,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import Field, Grid1D
-from .problems import Problem, ProblemKind, burgers, initial_condition
+from .problems import (
+    VISCOSITY,
+    Problem,
+    ProblemKind,
+    burgers,
+    initial_condition,
+)
 from .schemes import SchemeConfig, _run, integrate
 
 
@@ -57,7 +63,7 @@ def error_norms(numerical: Field, reference: Field) -> NormTriple:
         raise ValueError("grid mismatch")
     # the mean over one state: 0 + x and x / 1 are exact
     norms = _MeanNorms(numerical.grid.dx, 1)
-    norms.add(numerical.values - reference.values)
+    norms.add((numerical.values - reference.values)[None, None])
     return norms.result(0)
 
 
@@ -87,6 +93,10 @@ def steps_for(t_final: float, dt: float) -> int:
 REFERENCE_DIVISOR = 32
 # The advection problems' default CFL number.
 CFL = 0.5
+# The Burgers study's fixed grid size.
+N_CELLS = 30
+# The most states a Burgers cell holds before reducing their norms.
+BLOCK = 64
 
 
 def burgers_dt(n_cells: int) -> float:
@@ -116,7 +126,7 @@ class SweepSpec:
     resolutions: tuple[int, ...]
     t_final: float
     cfl: float = CFL
-    n_cells: int = 30
+    n_cells: int = N_CELLS
     dt_base: float | None = None
     cache_dir: str | Path | None = None
 
@@ -196,9 +206,9 @@ def advection_sweep(
 def burgers_sweep(
     schemes,
     dt_divisors=(1, 2, 4, 8),
-    n_cells: int = 30,
+    n_cells: int = N_CELLS,
     t_final: float = 1.0,
-    viscosity: float = 0.01,
+    viscosity: float = VISCOSITY,
     dt_base: float | None = None,
     cache_dir: str | Path | None = None,
 ) -> SweepSpec:
@@ -238,28 +248,31 @@ class SweepResult:
 
 class _MeanNorms:
     """Running mean of the three norms of each row over the states visited
-    by a batched run."""
+    by a batched run, taken a block of states at a time."""
 
     def __init__(self, dx: float, rows: int):
         self.dx = dx
-        self.l1, self.l2, self.linf = np.zeros((3, rows))
+        self.sums = np.zeros((3, rows))  # l1, l2, linf
         self.count = 0
 
     def add(self, errors: np.ndarray) -> None:
-        # a reduction along the last axis of (K, N) equals the reduction of
-        # each (N,) row bit for bit
+        """Add the norms of b states of errors, shape (b, rows, N), in
+        step order."""
+        # a reduction along the last axis of (b, K, N) equals the reduction
+        # of each (N,) row bit for bit, and a cumulative sum along the
+        # states of [carry, term 0, term 1, ...] is the sequential +=
         magnitude = np.abs(errors)
-        self.l1 += self.dx * magnitude.sum(axis=-1)
-        self.l2 += self.dx * np.sqrt((errors * errors).sum(axis=-1))
-        self.linf += magnitude.max(axis=-1)
-        self.count += 1
+        terms = np.empty((len(errors) + 1,) + self.sums.shape)
+        terms[0] = self.sums
+        terms[1:, 0] = self.dx * magnitude.sum(axis=-1)
+        terms[1:, 1] = self.dx * np.sqrt((errors * errors).sum(axis=-1))
+        terms[1:, 2] = magnitude.max(axis=-1)
+        self.sums = terms.cumsum(axis=0)[-1]
+        self.count += len(errors)
 
     def result(self, row: int) -> NormTriple:
-        return NormTriple(
-            float(self.l1[row] / self.count),
-            float(self.l2[row] / self.count),
-            float(self.linf[row] / self.count),
-        )
+        return NormTriple(*(float(total / self.count)
+                            for total in self.sums[:, row]))
 
 
 # The one in-process cache of Burgers references: (grid, dt_fine, t_final,
@@ -383,7 +396,7 @@ def burgers_reference(
     n_cells: int,
     dt_fine: float,
     t_final: float,
-    viscosity: float = 0.01,
+    viscosity: float = VISCOSITY,
 ) -> Field:
     """Fine-step ICN solution used as the Burgers 'exact' state at t_final.
 
@@ -425,20 +438,34 @@ def _resolution_cells(
     f = spec.problem.array_rhs(grid, rows)
     mean = _MeanNorms(grid.dx, rows)
     if spec.is_burgers:
-        # the mean over every step against the reference state at its time
+        # the mean over every step against the reference state at its time,
+        # reduced a block of at most BLOCK states at a time
         stride = sample_lcm // resolution
+        targets = reference[stride - 1::stride, None]
+        block = np.empty((min(BLOCK, steps), rows, grid.n_cells))
+
+        def add_block(end: int) -> None:
+            start = (end - 1) // BLOCK * BLOCK
+            mean.add(block[:end - start] - targets[start:end])
 
         def observe(i: int, u: np.ndarray) -> None:
-            mean.add(u - reference[(i + 1) * stride - 1])
+            block[i % BLOCK] = u
+            if i % BLOCK == BLOCK - 1:
+                add_block(i + 1)
 
         _, diverged_at = _run(u0, spec.schemes, f, dt, range(steps), observe)
+        if steps % BLOCK:
+            # a run that ended early did so because every row diverged,
+            # and diverged rows' norms are dropped below
+            with np.errstate(over="ignore", invalid="ignore"):
+                add_block(steps)
     else:
         # the snapshot is the mean over the one final state
         final, diverged_at = _run(u0, spec.schemes, f, dt, range(steps))
         exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
         # diverged rows hold inf and nan; their norms are dropped below
         with np.errstate(over="ignore", invalid="ignore"):
-            mean.add(final - exact)
+            mean.add((final - exact)[None])
     return [
         (None, int(step)) if step >= 0 else (mean.result(k), None)
         for k, step in enumerate(diverged_at)

@@ -11,6 +11,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, output, problems
 from .analysis import NORM_KEYS, advection_sweep, burgers_sweep, steps_for
 from .core import DivergenceError, Grid1D
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "divisors (burgers)")
     sweep.add_argument("--cfl", type=float, default=None)
     sweep.add_argument("--n", type=int, default=None,
-                       help="burgers grid size (default 30)")
+                       help=f"burgers grid size (default {analysis.N_CELLS})")
     sweep.add_argument("--dt-base", type=float, default=None,
                        help="burgers base time step (default 0.5 dx^2)")
     sweep.add_argument("--t-final", type=float, default=None,
@@ -245,12 +247,32 @@ def cmd_stability(args) -> int:
         raise UsageError("--beta-min exceeds --beta-max")
     if args.resolution < 2:
         raise UsageError("--resolution must be at least 2")
-    stability_map = scan_region(
-        args.variant,
-        theta_range=(args.theta_min, args.theta_max),
-        beta_range=(args.beta_min, args.beta_max),
-        resolution=args.resolution,
-    )
+    variant = SchemeVariant(args.variant)
+    name = PARAMETER[variant]
+    # the map's theta axis is the variant's parameter; a weight of theta,
+    # swapped or aa lies in [0, 1], as SchemeConfig checks, while ga's map
+    # also takes theta1 = 0, which no ga scheme does
+    if name is not None and variant is not SchemeVariant.GA:
+        for bound in ("theta_min", "theta_max"):
+            try:
+                SchemeConfig(variant, **{name: getattr(args, bound)})
+            except ValueError as err:
+                flag = "--" + bound.replace("_", "-")
+                raise UsageError(f"{flag}: {err}") from err
+    # finite but huge bounds overflow the factor's terms: to an inf |g|,
+    # which is written as such, or to inf * 0, a NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        stability_map = scan_region(
+            variant,
+            theta_range=(args.theta_min, args.theta_max),
+            beta_range=(args.beta_min, args.beta_max),
+            resolution=args.resolution,
+        )
+    if np.isnan(stability_map.modulus).any():
+        raise UsageError(
+            "--theta-min/--theta-max or --beta-min/--beta-max: |g| is not "
+            "a number on this map; its bounds are too large"
+        )
     output.write_text(args.out, output.stability_csv(stability_map))
     if args.pgm is not None:
         output.write_text(args.pgm, output.stability_pgm(stability_map))

@@ -94,30 +94,28 @@ def second_derivative_array(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 class PeriodicShifts:
-    """Gather indices of the periodic neighbours j + 1 and j - 1 along the
+    """Gather index of the periodic neighbours j + 1 and j - 1 along the
     last axis of values of shape (n,) or, with ``rows``, (rows, n).
 
-    ``values[shifts.p1]`` is ``np.roll(values, -1)`` and ``values[shifts.m1]``
-    is ``np.roll(values, 1)`` for one row.  The indices are built once; each
-    operator below then costs two array gathers, with the arithmetic of its
-    np.roll form in the same order, so the two agree bit for bit, row by row.
+    ``gather(values)`` stacks the two neighbours on a new first axis:
+    ``[np.roll(values, -1), np.roll(values, 1)]`` for one row, and the same
+    row by row for (rows, n).  The index is built once, so each call is
+    one array gather, and the right-hand sides do the arithmetic of the
+    np.roll forms above on it in the same order, bit for bit.
     """
 
     def __init__(self, n: int, rows: int | None = None):
         j = np.arange(n)
-        wrapped = np.concatenate((j[-1:], j, j[:1]))  # nodes j = -1 .. n
-        self.m1, self.p1 = wrapped[:n], wrapped[2:]
-        self.rows = rows
+        # rows j + 1 and j - 1, wrapped
+        index = np.concatenate((j[1:], j[:1], j[-1:], j[:-1])).reshape(2, n)
         if rows is not None:
-            # indices into the raveled C-ordered rows: one flat gather costs
-            # about a quarter of values[..., p1] at (5, 1600)
-            offsets = n * np.arange(rows)[:, None]
-            self.m1, self.p1 = offsets + self.m1, offsets + self.p1
+            # into the raveled C-ordered rows: one flat gather costs about
+            # a quarter of values[..., index] at (5, 1600)
+            index = index[:, None, :] + n * np.arange(rows)[:, None]
+        self.index = index
+        self.rows = rows
 
-    def delta1(self, values: np.ndarray) -> np.ndarray:
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """(values at j + 1, values at j - 1), shape (2,) + values.shape."""
         flat = values if self.rows is None else values.ravel()
-        return flat[self.p1] - flat[self.m1]
-
-    def second_derivative(self, values: np.ndarray, dx: float) -> np.ndarray:
-        flat = values if self.rows is None else values.ravel()
-        return (flat[self.p1] - 2.0 * values + flat[self.m1]) / (dx * dx)
+        return flat[self.index]

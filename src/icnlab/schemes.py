@@ -67,11 +67,36 @@ def _kernel(
     u: np.ndarray, f: ArrayOperator, dt: float, w1: float, s: float, w2: float
 ) -> np.ndarray:
     """One two-iteration step with weights (w1, s, w2) on raw nodal values."""
-    ut = u + dt * f(u)
-    ub = w1 * ut + (1.0 - w1) * u
-    ut = u + (s * dt) * f(ub)
-    ub = w2 * ut + (1.0 - w2) * u
-    return u + dt * f(ub)
+    return _step(u, f, *_factors(dt, w1, s, w2))
+
+
+def _factors(dt: float, w1: float, s: float, w2: float) -> tuple:
+    """The factors (dt, w1, 1 - w1, s dt, w2, 1 - w2) of _step."""
+    return dt, w1, 1.0 - w1, s * dt, w2, 1.0 - w2
+
+
+def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
+    """The step of _kernel from its factors, which _run computes once per
+    run.
+
+    The statements of the step in the module docstring, evaluated in the
+    same order on temporaries of its own and updated in place, so the bits
+    are those of the plain expressions.  It never writes into what f
+    returns, which may be an array the caller still holds.
+    """
+    ut = dt * f(u)
+    ut += u
+    ut *= w1
+    ub = v1 * u
+    ub += ut
+    ut = sdt * f(ub)
+    ut += u
+    ut *= w2
+    ub = v2 * u
+    ub += ut
+    out = dt * f(ub)
+    out += u
+    return out
 
 
 def _array_form(rhs: RhsOperator, grid: Grid1D) -> ArrayOperator:
@@ -254,40 +279,47 @@ def _run(
     observer: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The steps numbered ``steps`` from u, row k by schemes[k], through
-    _kernel.
+    the step kernel.
 
     ``u`` is one row of shape (N,) with one scheme, or K rows of shape
-    (K, N) with K schemes, and ``f`` acts on that shape.  Each weight is a
-    (K, 1) column per step parity, so every row takes its own scheme's
-    weights and an aa row flips its weight each step.  ``observer(i, u)``
-    sees all rows after step i.
+    (K, N) with K schemes, and ``f`` acts on that shape.  Each factor of
+    the step holds row k's value in row k, one set per step parity, so
+    every row takes its own scheme's weights and an aa row flips its weight
+    each step.  ``observer(i, u)`` sees all rows after step i.
 
     Returns the final state and, per row, the index of the first step whose
     output is not finite, or -1 for a row that stayed finite.  Every
     operation acts within a row, so a row that stops being finite leaves
     the others unchanged; the loop ends once every row has done so.
     """
-    by_parity = []
-    for parity in (0, 1):
-        triples = [scheme.weights(parity) for scheme in schemes]
-        # one row keeps float weights, cheaper per operation than arrays
-        by_parity.append(triples[0] if u.ndim == 1 else tuple(
-            np.array(column)[:, None] for column in zip(*triples)
-        ))
+    # Every factor of _step is an array of u's shape, row k holding
+    # schemes[k]'s value: numpy converts a Python float operand on every
+    # call, and broadcasts a (K, 1) column into an in-place product at about
+    # twice the cost, both more than the arithmetic at N = 30.  The values
+    # are computed in floats, as for _kernel, and spread along
+    # the rows at once: (parity, factor, [K,] N).
+    table = np.array([
+        [_factors(dt, *scheme.weights(parity)) for scheme in schemes]
+        for parity in (0, 1)
+    ]).transpose(0, 2, 1)
+    spread = np.repeat(table, u.shape[-1], axis=-1)
+    by_parity = [tuple(c) for c in spread.reshape((2, 6) + u.shape)]
     diverged_at = np.full(u.shape[:-1], -1)
     # a blow-up is reported through diverged_at, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in steps:
             try:
-                u = _kernel(u, f, dt, *by_parity[i % 2])
+                u = _step(u, f, *by_parity[i % 2])
             except DivergenceError:
                 # raised by a Field callable that checks its input
                 diverged_at[diverged_at < 0] = i
                 break
             # a non-finite intermediate always reaches the step's output,
-            # so one check per step finds the step where it first appears;
-            # the rows are told apart only when the check fails
-            if not np.isfinite(u).all():
+            # so one check per step finds the step where it first appears.
+            # A finite sum means every entry is finite; only when the sum
+            # is not (an overflowing sum of finite entries too) are the
+            # rows told apart
+            if not math.isfinite(np.add.reduce(u, None)):
                 finite = np.isfinite(u).all(axis=-1)
                 diverged_at[~finite & (diverged_at < 0)] = i
                 if (diverged_at >= 0).all():

@@ -465,6 +465,40 @@ def test_run_sweep_matches_per_cell_oracle(schemes, problem, multiple):
             assert (got, row.diverged_at) == (norms, step), scheme.label()
 
 
+BLOCK = analysis.BLOCK
+
+
+@pytest.mark.parametrize("dt_base, steps", [
+    (0.001, BLOCK - 1),
+    (0.001, BLOCK),
+    (0.001, BLOCK + 1),
+    (0.001, 2 * BLOCK + 1),
+    # at divisor 1 theta, swapped and ga diverge after the first block
+    (0.055, 2 * BLOCK + 1),
+])
+def test_run_sweep_burgers_blocks_match_per_cell_oracle(dt_base, steps):
+    # the observer reduces its norms a block of BLOCK states at a time; the
+    # cells must equal the per-step oracle across and at block edges, at
+    # divisor 1 (steps) and 2 (2 steps), with rows that diverge mid-block
+    spec = burgers_sweep(default_schemes(), dt_divisors=(1, 2),
+                         t_final=steps * dt_base, dt_base=dt_base)
+    result = run_sweep(spec)
+    diverged = []
+    for scheme, table in zip(spec.schemes, result.tables):
+        for resolution, row in zip(spec.resolutions, table.rows):
+            norms, step = per_cell(spec, scheme, resolution)
+            got = None if row.norms is None else (
+                row.norms.l1, row.norms.l2, row.norms.linf)
+            assert (got, row.diverged_at) == (norms, step), scheme.label()
+            if step is not None:
+                diverged.append(step)
+    if dt_base == 0.055:
+        assert len(diverged) == 3 and min(diverged) >= BLOCK
+        assert any(step % BLOCK for step in diverged)
+    else:
+        assert diverged == []
+
+
 def default_schemes():
     return [SchemeConfig.icn(), SchemeConfig.theta_icn(0.6),
             SchemeConfig.swapped_theta_icn(0.6), SchemeConfig.ga(0.6),

@@ -436,6 +436,12 @@ def test_markdown_renders_non_finite_norm(tmp_path):
          "not reachable"),
         (["sweep", "--problem", "linear", "--cfl", "5e-324",
           "--resolutions", "8,16"], "not reachable"),
+        # finite map bounds outside the weight's domain, or so large that
+        # |g| is inf * 0 at beta = 0
+        (["stability", "--variant", "theta", "--theta-max", "1e300",
+          "--resolution", "3"], "--theta-max"),
+        (["stability", "--variant", "ga", "--theta-max", "1e308",
+          "--resolution", "3"], "--theta-max"),
     ],
 )
 def test_bad_float_values_exit_2(tmp_path, capsys, argv, flag):

@@ -87,25 +87,24 @@ def test_second_derivative_scalar_matches_array():
 def test_gather_operators_match_roll_forms(n):
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
-    shifts = PeriodicShifts(n)
-    assert np.array_equal(v[shifts.p1], np.roll(v, -1))
-    assert np.array_equal(v[shifts.m1], np.roll(v, 1))
-    assert np.array_equal(shifts.delta1(v), delta1_array(v))
-    assert np.array_equal(
-        shifts.second_derivative(v, 1.0 / n),
-        second_derivative_array(v, 1.0 / n),
-    )
-    # (K, N) rows: the flat gathers act on each row as np.roll on axis -1
+    neighbours = PeriodicShifts(n).gather(v)
+    assert neighbours.shape == (2, n)
+    plus, minus = neighbours
+    assert np.array_equal(plus, np.roll(v, -1))
+    assert np.array_equal(minus, np.roll(v, 1))
+    assert np.array_equal(plus - minus, delta1_array(v))
     dx = 1.0 / n
+    assert np.array_equal(
+        (plus - 2.0 * v + minus) / (dx * dx),
+        second_derivative_array(v, dx),
+    )
+    # (K, N) rows: the flat gather acts on each row as np.roll on axis -1
     for rows in (1, 5):
         v = rng.standard_normal((rows, n))
-        shifts = PeriodicShifts(n, rows)
-        plus, minus = np.roll(v, -1, axis=-1), np.roll(v, 1, axis=-1)
-        assert np.array_equal(shifts.delta1(v), plus - minus)
-        assert np.array_equal(
-            shifts.second_derivative(v, dx),
-            (plus - 2.0 * v + minus) / (dx * dx),
-        )
+        neighbours = PeriodicShifts(n, rows).gather(v)
+        assert neighbours.shape == (2, rows, n)
+        assert np.array_equal(neighbours[0], np.roll(v, -1, axis=-1))
+        assert np.array_equal(neighbours[1], np.roll(v, 1, axis=-1))
 
 
 @pytest.mark.parametrize("op", [delta1_array, delta2_array, delta3_array])

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icnlab.core import DivergenceError, Field, Grid1D
+from icnlab.core import (
+    DivergenceError,
+    Field,
+    Grid1D,
+    delta1_array,
+    second_derivative_array,
+)
 from icnlab.problems import (
     Problem,
     ProblemKind,
@@ -114,3 +122,41 @@ def test_problem_validation():
         Problem(ProblemKind.SEMILINEAR_ADVECTION, advection_speed=2.0)
     assert burgers(0.01).viscosity == 0.01
     assert linear_advection(3.0).advection_speed == 3.0
+
+
+def roll_rhs(problem, v, dx):
+    """L(v) for one row as the plain np.roll statement of each problem: the
+    oracle for the gather forms of array_rhs."""
+    if problem.kind is ProblemKind.LINEAR_ADVECTION:
+        return -problem.advection_speed * delta1_array(v) / (2.0 * dx)
+    if problem.kind is ProblemKind.SEMILINEAR_ADVECTION:
+        return -delta1_array(v) / (2.0 * dx) - v * v
+    flux = 0.5 * v * v
+    return -delta1_array(flux) / (2.0 * dx) + problem.viscosity * (
+        second_derivative_array(v, dx)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    problem=st.sampled_from([linear_advection(), linear_advection(-2.5),
+                             semilinear_advection(), burgers(),
+                             burgers(0.3)]),
+    n=st.sampled_from([4, 5, 30, 129]),
+    rows=st.sampled_from([None, 1, 5]),
+    decades=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_rhs_matches_roll_forms(problem, n, rows, decades, seed):
+    # bit for bit, on one row and on K rows, for states of both signs whose
+    # magnitudes spread over up to six decades
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(
+        -decades / 2, decades / 2, shape
+    )
+    grid = Grid1D(n)
+    got = problem.array_rhs(grid, rows)(v)
+    expected = [roll_rhs(problem, row, grid.dx) for row in v.reshape(-1, n)]
+    assert got.shape == shape
+    assert got.tobytes() == np.array(expected).tobytes()

@@ -22,6 +22,7 @@ from icnlab.schemes import (
     SchemeConfig,
     SchemeVariant,
     _kernel,
+    _run,
     aa_linear_stencil,
     ga_linear_stencil,
     integrate,
@@ -375,6 +376,50 @@ def test_field_callable_matches_array_form(problem, scheme):
     one = scheme.step(u0, problem.rhs, dt, step_index=1)
     other = scheme.step(u0, lambda u: problem.rhs(u), dt, step_index=1)
     assert np.array_equal(one.values, other.values)
+
+
+def plain_kernel(u, f, dt, w1, s, w2):
+    """The step as plain expressions, each result a fresh array: the
+    reference for the kernel's in-place form."""
+    ut = u + dt * f(u)
+    ub = w1 * ut + (1.0 - w1) * u
+    ut = u + (s * dt) * f(ub)
+    ub = w2 * ut + (1.0 - w2) * u
+    return u + dt * f(ub)
+
+
+@pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
+def test_kernel_never_writes_into_what_the_rhs_returns(scheme):
+    # a Field callable that returns its input's values: the adapter hands
+    # back the very array the step passed in, so a kernel that updated what
+    # f returns in place would overwrite its own state
+    grid = Grid1D(30)
+    u0 = initial_condition(grid)
+    dt = 0.01
+    got = integrate(u0, scheme, lambda u: Field(u.grid, u.values), dt, 5)
+    u = u0.values
+    for i in range(5):
+        u = plain_kernel(u, lambda v: v, dt, *scheme.weights(i))
+    assert got.values.tobytes() == u.tobytes()
+    weights = scheme.weights(0)
+    one = _kernel(u0.values, lambda v: v, dt, *weights)
+    assert one.tobytes() == plain_kernel(u0.values, lambda v: v, dt,
+                                         *weights).tobytes()
+    assert u0.values.tobytes() == initial_condition(grid).values.tobytes()
+
+
+def test_finite_check_survives_an_overflowing_sum():
+    # every entry of rows of +-1e308 is finite though their sum is not, so
+    # no row is marked as diverged, on K rows or on one
+    u = np.array([[1e308] * 8, [1e308] * 8, [-1e308] * 8])
+    zero = np.zeros_like
+    for state in (u, u[0]):
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(state, None))
+        schemes = [SchemeConfig.icn()] * len(np.atleast_2d(state))
+        final, diverged_at = _run(state, schemes, zero, 0.1, range(3))
+        assert (diverged_at == -1).all()
+        assert final.tobytes() == state.tobytes()
 
 
 ORACLE_WEIGHTS = {
