@@ -15,14 +15,17 @@ The Burgers reference is one ICN integration at dt_fine.
 states at one cadence, and a request at a multiple m of that cadence is
 served as ``states[m-1::m]``.  With a cache directory a sweep's trajectory
 is persisted as ``burgers-ref-...-every<cadence>.npy``, the one file read
-back, so a warm cache integrates nothing; the final state is written next
-to it as ``burgers-ref-....csv``, an output derived from the trajectory's
-last row that is never read.
+back, so a warm cache integrates nothing.  The SHA-256 of its states is
+written beside it as ``...-every<cadence>.sha256``, and a trajectory
+without a matching digest is integrated again.  The final state is written
+next to them as ``burgers-ref-....csv``, an output derived from the
+trajectory's last row that is never read.
 """
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +39,7 @@ from .problems import (
     burgers,
     initial_condition,
 )
-from .schemes import SchemeConfig, _run, integrate
+from .schemes import SchemeConfig, _run, _run_row
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,9 @@ REFERENCE_DIVISOR = 32
 CFL = 0.5
 # The Burgers study's fixed grid size.
 N_CELLS = 30
+# The end times of the advection and Burgers sweeps.
+ADVECTION_T_FINAL = 0.5
+BURGERS_T_FINAL = 1.0
 # The most states a Burgers cell holds before reducing their norms.
 BLOCK = 64
 
@@ -189,7 +195,7 @@ def advection_sweep(
     schemes,
     resolutions=(100, 200, 400, 800, 1600),
     cfl: float = CFL,
-    t_final: float = 0.5,
+    t_final: float = ADVECTION_T_FINAL,
 ) -> SweepSpec:
     """Grid-refinement study at fixed CFL against the exact solution."""
     if problem.kind is ProblemKind.BURGERS:
@@ -207,7 +213,7 @@ def burgers_sweep(
     schemes,
     dt_divisors=(1, 2, 4, 8),
     n_cells: int = N_CELLS,
-    t_final: float = 1.0,
+    t_final: float = BURGERS_T_FINAL,
     viscosity: float = VISCOSITY,
     dt_base: float | None = None,
     cache_dir: str | Path | None = None,
@@ -284,25 +290,43 @@ _reference_memo: dict[tuple, tuple[int, np.ndarray]] = {}
 def _integrate_reference(
     grid: Grid1D, dt_fine: float, steps: int, viscosity: float, cadence: int
 ) -> np.ndarray:
-    """ICN states every ``cadence`` of ``steps`` fine steps, one per row."""
+    """ICN states every ``cadence`` of ``steps`` fine steps, one per row.
+
+    The loop runs on raw arrays and copies only the states it keeps; a step
+    that is not finite raises DivergenceError with its index.
+    """
     states = np.empty((steps // cadence, grid.n_cells))
 
-    def keep(i: int, state: Field) -> None:
+    def keep(i: int, u: np.ndarray) -> None:
         if (i + 1) % cadence == 0:
-            states[i // cadence] = state.values
+            states[i // cadence] = u
 
-    integrate(
-        initial_condition(grid), SchemeConfig.icn(), burgers(viscosity).rhs,
-        dt_fine, steps, observer=keep,
+    _run_row(
+        initial_condition(grid).values, SchemeConfig.icn(),
+        burgers(viscosity).array_rhs(grid), dt_fine, range(steps), keep,
     )
     return states
 
 
+def _states_digest(states: np.ndarray) -> bytes:
+    """The content of a trajectory's digest file: the SHA-256 of its
+    states in C order, in hex, and a newline."""
+    # the interpreter's own SHA-256, imported only when a cache is used:
+    # hashlib loads OpenSSL, about 3.7 MB more resident memory per process
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+    return f"{sha256(states.tobytes()).hexdigest()}\n".encode()
+
+
 def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
     """A cached trajectory, or None unless the file holds a float64 array
-    of exactly ``shape`` with every value finite."""
+    of exactly ``shape`` with every value finite, whose digest is the one
+    in the ``.sha256`` file beside it."""
     try:
         states = np.load(path, allow_pickle=False)
+        recorded = path.with_suffix(".sha256").read_bytes()
     except (OSError, ValueError, EOFError):
         return None
     if (
@@ -310,6 +334,7 @@ def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
         or states.dtype != np.float64
         or states.shape != shape
         or not np.isfinite(states).all()
+        or recorded != _states_digest(states)
     ):
         return None
     return states
@@ -334,8 +359,8 @@ def _final_state_csv(grid: Grid1D, final: np.ndarray) -> bytes:
     """``x,u`` rows with 17 significant digits, enough to give back every
     float64 value exactly."""
     lines = ["x,u"]
-    for x, v in zip(grid.nodes(), final):
-        lines.append(f"{x:.17e},{v:.17e}")
+    lines += [f"{x:.17e},{v:.17e}"
+              for x, v in zip(grid.nodes().tolist(), final.tolist())]
     return "\n".join(lines).encode() + b"\n"
 
 
@@ -353,9 +378,9 @@ def _reference_trajectory(
     request by striding; otherwise, with a cache directory, the states come
     from its ``.npy`` file for this cadence.  Only when neither holds them
     is the reference integrated, and the result replaces the memo entry.
-    With a cache directory the file is (re)written unless it already held
-    the states, and the final-state CSV next to it is rewritten unless it
-    already holds exactly the bytes of the last row.
+    With a cache directory the file and its digest are (re)written unless
+    they already held the states, and the final-state CSV next to them is
+    rewritten unless it already holds exactly the bytes of the last row.
     """
     steps = steps_for(t_final, dt_fine)
     if steps % cadence != 0:
@@ -384,7 +409,12 @@ def _reference_trajectory(
         _reference_memo[key] = (cadence, states)
     if cache_dir is not None:
         if cached is None:
+            # the digest goes last: a trajectory replaced without it is a
+            # miss, never a hit
             _write_atomic(path, lambda handle: np.save(handle, states))
+            digest = _states_digest(states)
+            _write_atomic(path.with_suffix(".sha256"),
+                          lambda handle: handle.write(digest))
         csv = path.with_name(f"{name}.csv")
         content = _final_state_csv(grid, states[-1])
         if not (csv.is_file() and csv.read_bytes() == content):

@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", required=True, choices=VARIANTS)
     run.add_argument("--n", required=True, type=int, help="grid size")
     run.add_argument("--cfl", type=float, default=None,
-                     help="advection problems: dt = cfl dx / |a| (default 0.5)")
+                     help="advection problems: dt = cfl dx / |a| "
+                          f"(default {analysis.CFL:g})")
     run.add_argument("--dt", type=float, default=None,
                      help="burgers: time step (default 0.5 dx^2)")
     run.add_argument("--t-final", type=float, default=1.0)
@@ -74,8 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"burgers grid size (default {analysis.N_CELLS})")
     sweep.add_argument("--dt-base", type=float, default=None,
                        help="burgers base time step (default 0.5 dx^2)")
-    sweep.add_argument("--t-final", type=float, default=None,
-                       help="default 0.5 for advection, 1 for burgers")
+    sweep.add_argument(
+        "--t-final", type=float, default=None,
+        help=f"default {analysis.ADVECTION_T_FINAL:g} for advection, "
+             f"{analysis.BURGERS_T_FINAL:g} for burgers",
+    )
     sweep.add_argument("--norms", default="l1,l2,linf")
     sweep.add_argument("--format", default="csv", choices=["csv", "markdown"])
     sweep.add_argument("--cache-dir", type=Path, default=None,

@@ -1,7 +1,9 @@
 """Deterministic text renderers for solution, table, and stability files.
 
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
-order, newline line endings.
+order, newline line endings.  Per-point rows are formatted from the Python
+floats of ``.tolist()``, a map column at a time, because a NumPy scalar
+indexed and formatted per point costs several times the formatting itself.
 """
 from __future__ import annotations
 
@@ -34,12 +36,13 @@ def format_compact(x: float) -> str:
 def solution_csv(
     grid: Grid1D, numerical: np.ndarray, reference: np.ndarray
 ) -> str:
+    rows = zip(grid.nodes().tolist(), numerical.tolist(), reference.tolist())
     lines = ["x,u_num,u_ref,error"]
-    for x, un, ur in zip(grid.nodes(), numerical, reference):
-        lines.append(
-            f"{format_float(x)},{format_float(un)},"
-            f"{format_float(ur)},{format_float(un - ur)}"
-        )
+    lines += [
+        f"{format_float(x)},{format_float(un)},"
+        f"{format_float(ur)},{format_float(un - ur)}"
+        for x, un, ur in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -92,15 +95,22 @@ def sweep_markdown(result: SweepResult, norm_key: str) -> str:
 
 def stability_csv(stability_map: StabilityMap) -> str:
     """Rows (theta, beta, |g|, stable), theta-major, beta ascending."""
-    lines = ["theta,beta,g_modulus,stable"]
-    for j, theta in enumerate(stability_map.theta_axis):
-        for i, beta in enumerate(stability_map.beta_axis):
-            stable = "1" if stability_map.stable_mask[i, j] else "0"
-            lines.append(
-                f"{format_float(theta)},{format_float(beta)},"
-                f"{format_float(stability_map.modulus[i, j])},{stable}"
-            )
-    return "\n".join(lines) + "\n"
+    betas = [format_float(beta) for beta in stability_map.beta_axis.tolist()]
+    blocks = ["theta,beta,g_modulus,stable\n"]
+    # one block of lines per theta column, so only one column's Python
+    # floats are alive at a time
+    for j, theta in enumerate(stability_map.theta_axis.tolist()):
+        t = format_float(theta)
+        column = zip(
+            betas,
+            stability_map.modulus[:, j].tolist(),
+            stability_map.stable_mask[:, j].tolist(),
+        )
+        blocks.append("".join([
+            f"{t},{beta},{format_float(g)},{'1' if stable else '0'}\n"
+            for beta, g, stable in column
+        ]))
+    return "".join(blocks)
 
 
 def stability_pgm(stability_map: StabilityMap) -> str:
@@ -113,8 +123,7 @@ def stability_pgm(stability_map: StabilityMap) -> str:
     gray = np.rint(255.0 * clipped / 2.0).astype(int)
     height, width = gray.shape
     lines = ["P2", f"{width} {height}", "255"]
-    for row in gray[::-1]:
-        lines.append(" ".join(str(v) for v in row))
+    lines += [" ".join(map(str, row)) for row in gray[::-1].tolist()]
     return "\n".join(lines) + "\n"
 
 

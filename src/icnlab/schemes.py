@@ -31,14 +31,16 @@ z = -2i beta, the stability polynomial rather than the Courant number
 (stability.amplification).
 
 One loop, ``_run``, advances the rows of a (K, N) state on raw nodal
-arrays, row k by its own scheme: each weight is a (K, 1) column per step
-parity, so the schemes that share a grid and dt (a sweep resolution) run as
-one array, and an aa row flips its weight each step.  The operator is
-resolved to its array form once per run, and finiteness is checked once
-per step; a row that stops being finite is recorded with the step where it
-did, and the other rows carry on.  ``integrate``, SchemeConfig.step and the
-step_* functions are its one-row case, and raise DivergenceError with that
-step.
+arrays, row k by its own scheme: each factor of the step is spread once
+per run into a full array of the state's shape, row k holding its scheme's
+value, one set per step parity, so the schemes that share a grid and dt (a
+sweep resolution) run as one array, and an aa row flips its weight each
+step.  The operator is resolved to its array form once per run, and
+finiteness is checked once per step; a row that stops being finite is
+recorded with the step where it did, and the other rows carry on.
+``_run_row`` is its one-row case on raw values, which the Burgers reference
+drives, and ``integrate``, SchemeConfig.step and the step_* functions are
+that case on Fields; all of them raise DivergenceError with that step.
 """
 from __future__ import annotations
 
@@ -329,6 +331,23 @@ def _run(
     return u, diverged_at
 
 
+def _run_row(
+    u: np.ndarray,
+    scheme: SchemeConfig,
+    f: ArrayOperator,
+    dt: float,
+    steps: range,
+    observer: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """_run on one row of raw values; a step that is not finite raises
+    DivergenceError."""
+    u, diverged_at = _run(u, (scheme,), f, dt, steps, observer)
+    step = int(diverged_at)
+    if step >= 0:
+        raise DivergenceError(f"step diverged at step {step}", step_index=step)
+    return u
+
+
 def _run_one(
     u0: Field,
     scheme: SchemeConfig,
@@ -337,19 +356,14 @@ def _run_one(
     steps: range,
     observer: Callable[[int, Field], None] | None = None,
 ) -> Field:
-    """_run on one row; a step that is not finite raises DivergenceError."""
+    """_run_row on a Field, with a Field callable and observer."""
     grid = u0.grid
     watch = None
     if observer is not None:
         def watch(i: int, u: np.ndarray) -> None:
             observer(i, Field(grid, u))
-    u, diverged_at = _run(
-        u0.values, (scheme,), _array_form(rhs, grid), dt, steps, watch
-    )
-    step = int(diverged_at)
-    if step >= 0:
-        raise DivergenceError(f"step diverged at step {step}", step_index=step)
-    return u0.with_values(u)
+    f = _array_form(rhs, grid)
+    return u0.with_values(_run_row(u0.values, scheme, f, dt, steps, watch))
 
 
 def integrate(

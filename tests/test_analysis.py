@@ -183,15 +183,15 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
 
 
 def count_integrations(monkeypatch):
-    """Record the dt of every integrate call made by the analysis module."""
+    """Record the fine step of every reference integration."""
     calls = []
-    integrate_ = analysis.integrate
+    integrate_reference = analysis._integrate_reference
 
-    def counting(u0, scheme, rhs, dt, n_steps, observer=None):
-        calls.append(dt)
-        return integrate_(u0, scheme, rhs, dt, n_steps, observer)
+    def counting(grid, dt_fine, steps, viscosity, cadence):
+        calls.append(dt_fine)
+        return integrate_reference(grid, dt_fine, steps, viscosity, cadence)
 
-    monkeypatch.setattr(analysis, "integrate", counting)
+    monkeypatch.setattr(analysis, "_integrate_reference", counting)
     return calls
 
 

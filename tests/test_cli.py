@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import io
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icnlab import analysis
-from icnlab.cli import build_parser, main
+from icnlab.cli import EXIT_NUMERICAL, build_parser, main
 from icnlab.problems import linear_advection
 from icnlab.schemes import SchemeVariant
 
@@ -238,15 +239,15 @@ def test_sweep_burgers_cache_dir(tmp_path):
 
 
 def count_integrations(monkeypatch):
-    """Record the dt of every integrate call made by the analysis module."""
+    """Record the fine step of every reference integration."""
     calls = []
-    integrate = analysis.integrate
+    integrate_reference = analysis._integrate_reference
 
-    def counting(u0, scheme, rhs, dt, n_steps, observer=None):
-        calls.append(dt)
-        return integrate(u0, scheme, rhs, dt, n_steps, observer)
+    def counting(grid, dt_fine, steps, viscosity, cadence):
+        calls.append(dt_fine)
+        return integrate_reference(grid, dt_fine, steps, viscosity, cadence)
 
-    monkeypatch.setattr(analysis, "integrate", counting)
+    monkeypatch.setattr(analysis, "_integrate_reference", counting)
     return calls
 
 
@@ -321,7 +322,7 @@ def test_sweep_recomputes_corrupt_reference_cache(tmp_path, corrupt):
         ).read_bytes()
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".npy"])
+@pytest.mark.parametrize("suffix", [".csv", ".npy", ".sha256"])
 def test_sweep_cache_write_failure_exits_2(tmp_path, capsys, suffix):
     # a directory where a reference cache file goes makes its write fail:
     # a usage error that names --cache-dir, no temporary file left behind
@@ -387,7 +388,68 @@ def test_sweep_recomputes_corrupt_trajectory_cache(tmp_path, monkeypatch):
             assert (out / f"t_{norm}.csv").read_bytes() == (
                 tmp_path / f"good_{norm}.csv"
             ).read_bytes(), name
-    assert sorted(p.suffix for p in cache.iterdir()) == [".csv", ".npy"]
+    assert sorted(p.suffix for p in cache.iterdir()) == [
+        ".csv", ".npy", ".sha256"
+    ]
+
+
+def _edit_one_value(path):
+    states = np.load(path)
+    states[3, 5] += 0.25
+    np.save(path, states)
+
+
+@pytest.mark.parametrize("damage", [
+    _edit_one_value,
+    lambda path: path.with_suffix(".sha256").unlink(),
+    lambda path: path.with_suffix(".sha256").write_text("0" * 64 + "\n"),
+], ids=["edited-value", "no-digest", "wrong-digest"])
+def test_sweep_recomputes_trajectory_without_matching_digest(
+    tmp_path, monkeypatch, damage
+):
+    # a well-formed trajectory whose states do not match the digest beside
+    # it is integrated again: the tables are an uncached run's bytes, the
+    # cache is rewritten, and a warm rerun integrates nothing
+    calls = count_integrations(monkeypatch)
+    cache = tmp_path / "cache"
+    args = ["sweep", "--problem", "burgers", "--schemes", "icn",
+            "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+            "1,2"]
+    for run in ("plain", "first", "damaged", "warm"):
+        (tmp_path / run).mkdir()
+    analysis._reference_memo.clear()
+    assert main(args + ["--out", str(tmp_path / "plain" / "t.csv")]) == 0
+    args += ["--cache-dir", str(cache)]
+    analysis._reference_memo.clear()
+    assert main(args + ["--out", str(tmp_path / "first" / "t.csv")]) == 0
+    (path,) = cache.glob("*.npy")
+    good = path.read_bytes()
+    damage(path)
+    for run, integrations in (("damaged", 1), ("warm", 0)):
+        analysis._reference_memo.clear()
+        calls.clear()
+        assert main(args + ["--out", str(tmp_path / run / "t.csv")]) == 0
+        assert len(calls) == integrations, run
+        for norm in ("l1", "l2", "linf"):
+            assert (tmp_path / run / f"t_{norm}.csv").read_bytes() == (
+                tmp_path / "plain" / f"t_{norm}.csv"
+            ).read_bytes(), run
+    assert path.read_bytes() == good
+    assert path.with_suffix(".sha256").read_text() == (
+        hashlib.sha256(np.load(path).tobytes()).hexdigest() + "\n"
+    )
+
+
+def test_sweep_diverging_reference_exits_3(tmp_path, capsys):
+    # the reference runs at dt_base / 32 = 0.2, where ICN on this grid
+    # blows up at step 5; the failure names the step and no table is written
+    analysis._reference_memo.clear()
+    code = main(["sweep", "--problem", "burgers", "--schemes", "icn",
+                 "--dt-base", "6.4", "--t-final", "64", "--resolutions",
+                 "1,2", "--out", str(tmp_path / "t.csv")])
+    assert code == EXIT_NUMERICAL
+    assert "step diverged at step 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_markdown_renders_non_finite_norm(tmp_path):
@@ -483,6 +545,27 @@ def _float_flags():
     return [(command, action.option_strings[0])
             for command, parser in _commands().items()
             for action in parser._actions if action.type is float]
+
+
+def _sweep_t_final_help():
+    (action,) = [action for action in _commands()["sweep"]._actions
+                 if action.dest == "t_final"]
+    return action.help
+
+
+def test_sweep_t_final_help_reads_the_builders_defaults(monkeypatch):
+    # the help states the end times that advection_sweep and burgers_sweep
+    # take when --t-final is not given, and follows them when they change
+    assert _sweep_t_final_help() == "default 0.5 for advection, 1 for burgers"
+    for builder, name in ((analysis.advection_sweep, "ADVECTION_T_FINAL"),
+                          (analysis.burgers_sweep, "BURGERS_T_FINAL")):
+        default = inspect.signature(builder).parameters["t_final"].default
+        assert default == getattr(analysis, name)
+    monkeypatch.setattr(analysis, "ADVECTION_T_FINAL", 0.25)
+    monkeypatch.setattr(analysis, "BURGERS_T_FINAL", 3.0)
+    assert _sweep_t_final_help() == (
+        "default 0.25 for advection, 3 for burgers"
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

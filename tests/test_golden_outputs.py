@@ -2,14 +2,15 @@
 ga and aa maps of scan_region at its default 241 points, compared with
 SHA-256 digests in golden_outputs.sha256.
 
-The commands cover every output path: stability maps with PGM, linear and
-semilinear sweeps in CSV and Markdown, a Burgers sweep with and without a
-reference cache (tables, final-state CSV and trajectory .npy), two sweeps in which one scheme
-diverges and the others do not, and one run per scheme and problem.  They
-are kept small (121-point maps, N <= 400, Burgers to t = 0.125 except in
-the divergence case).  A refactor that changes no number leaves every
-digest as it is.  Rewrite the digests, only when an output is meant to
-change, with
+The commands cover every output path: stability maps of every variant with
+PGM, and one whose moduli overflow to inf; linear and semilinear sweeps in
+CSV and Markdown; a Burgers sweep with and without a reference cache
+(tables, final-state CSV, trajectory .npy and its .sha256 digest); two
+sweeps in which one scheme diverges and the others do not; and one run per
+scheme and problem.  They are kept small (121-point maps, N <= 400, Burgers
+to t = 0.125 except in the divergence case).  A refactor that changes no
+number leaves every digest as it is.  Rewrite the digests, only when an
+output is meant to change, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -55,8 +56,14 @@ CASES = {
             ("stability", "--variant", variant, "--resolution", "121",
              "--out", "{out}/map.csv", "--pgm", "{out}/map.pgm")
         ]
-        for variant in ("ga", "aa")
+        for variant in ("icn", "theta", "swapped", "ga", "aa")
     },
+    # a finite beta range so wide that |g| overflows to inf off beta = 0
+    "stability-inf": [
+        ("stability", "--variant", "icn", "--beta-max", "1e200",
+         "--resolution", "5", "--out", "{out}/map.csv",
+         "--pgm", "{out}/map.pgm")
+    ],
     "sweep-linear": _sweeps("linear"),
     "sweep-semilinear": _sweeps("semilinear"),
     "burgers": [

@@ -1,4 +1,8 @@
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icnlab.analysis import (
     ConvergenceRow,
@@ -19,7 +23,7 @@ from icnlab.output import (
 )
 from icnlab.problems import linear_advection
 from icnlab.schemes import SchemeConfig, SchemeVariant
-from icnlab.stability import StabilityMap
+from icnlab.stability import STABILITY_TOLERANCE, StabilityMap
 
 
 def test_format_float_six_significant_digits():
@@ -110,3 +114,70 @@ def test_stability_pgm_layout():
     # top image row is beta_max: |g| = 0.5, 2.5 (clipped to 2), 1.0
     assert lines[3] == "64 255 128"
     assert lines[4] == "128 128 128"
+
+
+def plain_stability_csv(stability_map):
+    """One line per point, each value formatted as it is indexed: the
+    reference for the column-block renderer."""
+    lines = ["theta,beta,g_modulus,stable"]
+    for j, theta in enumerate(stability_map.theta_axis):
+        for i, beta in enumerate(stability_map.beta_axis):
+            stable = "1" if stability_map.stable_mask[i, j] else "0"
+            lines.append(
+                f"{format_float(theta)},{format_float(beta)},"
+                f"{format_float(stability_map.modulus[i, j])},{stable}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def plain_stability_pgm(stability_map):
+    """One image row at a time from NumPy integers: the reference for the
+    heatmap renderer."""
+    clipped = np.minimum(stability_map.modulus, 2.0)
+    gray = np.rint(255.0 * clipped / 2.0).astype(int)
+    height, width = gray.shape
+    lines = ["P2", f"{width} {height}", "255"]
+    for row in gray[::-1]:
+        lines.append(" ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# values at the edges of the formats: inf, signed zeros, subnormals, and
+# moduli within 1e-12 of 1, on both sides of the stability tolerance
+EDGES = [math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308, 1.0,
+         1.0 + STABILITY_TOLERANCE, math.nextafter(1.0 + STABILITY_TOLERANCE,
+                                                   2.0), 2.0]
+moduli = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(1.0 - 1e-12, 1.0 + 1e-12),
+    st.floats(0.0, 1e-307),
+    st.floats(0.0, math.inf),
+)
+axis_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -1e-310, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def stability_maps(draw):
+    n_theta, n_beta = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    theta = draw(st.lists(axis_values, min_size=n_theta, max_size=n_theta))
+    beta = draw(st.lists(axis_values, min_size=n_beta, max_size=n_beta))
+    values = draw(st.lists(moduli, min_size=n_beta * n_theta,
+                           max_size=n_beta * n_theta))
+    modulus = np.array(values).reshape(n_beta, n_theta)
+    return StabilityMap(
+        variant=draw(st.sampled_from(list(SchemeVariant))),
+        theta_axis=np.array(theta),
+        beta_axis=np.array(beta),
+        modulus=modulus,
+        stable_mask=modulus <= 1.0 + STABILITY_TOLERANCE,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stability_maps())
+def test_map_renderers_match_per_point_oracles(stability_map):
+    assert stability_csv(stability_map) == plain_stability_csv(stability_map)
+    assert stability_pgm(stability_map) == plain_stability_pgm(stability_map)
