@@ -19,7 +19,7 @@ from .analysis import (
     run_sweep,
     steps_for,
 )
-from .core import DivergenceError, Field, Grid1D
+from .core import DivergenceError, Field, Grid1D, ParameterError
 from .problems import (
     Problem,
     ProblemKind,
@@ -58,6 +58,7 @@ __all__ = [
     "Field",
     "Grid1D",
     "NormTriple",
+    "ParameterError",
     "Problem",
     "ProblemKind",
     "STABILITY_TOLERANCE",

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Field, Grid1D
+from .core import Field, Grid1D, ParameterError
 from .problems import (
     VISCOSITY,
     Problem,
@@ -78,17 +78,23 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 
 
 def steps_for(t_final: float, dt: float) -> int:
-    """Uniform step count reaching t_final, or an error if none exists."""
-    if not (math.isfinite(t_final) and math.isfinite(dt)):
-        raise ValueError("t_final and dt must be finite")
+    """Uniform step count reaching t_final, or an error if none exists.
+
+    The sign of dt is not checked: 0 steps reach t_final = 0 at any dt.
+    """
+    if not 0.0 <= t_final < math.inf:
+        raise ParameterError("t_final", "t_final must be finite and "
+                                        "non-negative")
+    if not math.isfinite(dt):
+        raise ParameterError("dt", "dt must be finite")
     if t_final == 0.0:
         return 0
     # dt may underflow to 0, and t_final / dt may overflow
-    if dt == 0.0 or not math.isfinite(t_final / dt):
-        raise ValueError("t_final not reachable with uniform steps")
-    steps = round(t_final / dt)
+    ratio = t_final / dt if dt != 0.0 else math.inf
+    steps = round(ratio) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * t_final:
-        raise ValueError("t_final not reachable with uniform steps")
+        raise ParameterError("t_final", "t_final not reachable with uniform "
+                                        "steps")
     return steps
 
 
@@ -140,29 +146,41 @@ class SweepSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "resolutions", tuple(self.resolutions))
         if not self.schemes:
-            raise ValueError("at least one scheme is required")
+            raise ParameterError("schemes", "at least one scheme is required")
         if not self.resolutions:
-            raise ValueError("at least one resolution is required")
+            raise ParameterError("resolutions",
+                                 "at least one resolution is required")
         if any(
             b <= a for a, b in zip(self.resolutions, self.resolutions[1:])
         ):
-            raise ValueError("resolutions must be strictly increasing")
+            raise ParameterError("resolutions",
+                                 "resolutions must be strictly increasing")
         if not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
-        if not self.cfl > 0.0:
-            raise ValueError("cfl must be positive")
-        if self.dt_base is not None and not self.dt_base > 0.0:
-            raise ValueError("dt_base must be positive")
+            raise ParameterError("t_final", "t_final must be positive")
+        # cfl, dt_base and the grid sizes are checked here, before a dt or
+        # a grid is derived from them, so an error names them and not dt
+        if not 0.0 < self.cfl < math.inf:
+            raise ParameterError("cfl", "cfl must be positive and finite")
+        if self.dt_base is not None and not 0.0 < self.dt_base < math.inf:
+            raise ParameterError("dt_base",
+                                 "dt_base must be positive and finite")
         if self.resolutions[0] < 1:
-            raise ValueError("resolutions must be positive")
+            raise ParameterError("resolutions", "resolutions must be positive")
         if self.is_burgers:
+            Grid1D(self.n_cells)
             if REFERENCE_DIVISOR % math.lcm(*self.resolutions) != 0:
-                raise ValueError(
+                raise ParameterError(
+                    "resolutions",
                     f"the reference divisor {REFERENCE_DIVISOR} must be a "
-                    "multiple of every dt divisor"
+                    "multiple of every dt divisor",
                 )
         elif self.problem.advection_speed == 0.0:
-            raise ValueError("advection speed must be nonzero for a CFL sweep")
+            raise ParameterError(
+                "problem", "advection speed must be nonzero for a CFL sweep"
+            )
+        elif self.resolutions[0] < 4:
+            raise ParameterError("resolutions",
+                                 "grid sizes must be at least 4")
         # every cell must reach t_final, so no cell fails on its step count
         for resolution in self.resolutions:
             steps_for(self.t_final, self.dt(resolution))
@@ -199,7 +217,8 @@ def advection_sweep(
 ) -> SweepSpec:
     """Grid-refinement study at fixed CFL against the exact solution."""
     if problem.kind is ProblemKind.BURGERS:
-        raise ValueError("use burgers_sweep for the Burgers problem")
+        raise ParameterError("problem",
+                             "use burgers_sweep for the Burgers problem")
     return SweepSpec(
         problem=problem,
         schemes=tuple(schemes),

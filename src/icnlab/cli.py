@@ -1,13 +1,17 @@
 """Command-line front end: single runs, convergence sweeps, stability scans.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  The CLI only
-parses and validates flags; every number written to disk comes from the
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  The library
+validates its inputs and names the parameter at fault in a ParameterError;
+``main`` maps that name to its flag (``flag``) and exits 2.  The CLI checks
+only what no library call sees, such as --norms and the output directories,
+and raises the same error.  Every number written to disk comes from the
 library calls unchanged.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -15,7 +19,7 @@ import numpy as np
 
 from . import analysis, output, problems
 from .analysis import NORM_KEYS, advection_sweep, burgers_sweep, steps_for
-from .core import DivergenceError, Grid1D
+from .core import DivergenceError, Grid1D, ParameterError
 from .problems import initial_condition
 from .schemes import PARAMETER, SchemeConfig, SchemeVariant, integrate
 from .stability import scan_region
@@ -25,9 +29,18 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_THETA = 0.6
-# the flag of each scheme parameter (schemes.PARAMETER), also its args name
-THETA_FLAGS = {"theta": "--theta", "theta1": "--theta1",
-               "theta_odd": "--theta-o"}
+# the scheme parameters (schemes.PARAMETER), also the dests of their flags
+THETA_NAMES = ("theta", "theta1", "theta_odd")
+# The flag of each parameter whose flag is not "--" and its name with
+# dashes.  A parameter is a library argument or field (Grid1D, SchemeConfig,
+# steps_for, SweepSpec, integrate, scan_region) or the dest of a flag; a
+# scan range names the pair of flags that bound it.
+FLAGS = {"n_cells": "--n", "theta_odd": "--theta-o",
+         "n_steps": "--t-final", "theta_range": "--theta-min/--theta-max",
+         "beta_range": "--beta-min/--beta-max"}
+# an int in the syntax that int() takes: digits of any script, and around
+# them any whitespace but the separators \x1c-\x1f
+INTEGER = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d(?:_?\d)*[^\S\x1c-\x1f]*")
 # the constructor of each --problem, which supplies its defaults
 PROBLEMS = {"linear": problems.linear_advection,
             "semilinear": problems.semilinear_advection,
@@ -35,8 +48,9 @@ PROBLEMS = {"linear": problems.linear_advection,
 VARIANTS = [variant.value for variant in SchemeVariant]
 
 
-class UsageError(Exception):
-    pass
+def flag(parameter: str) -> str:
+    """The flag that sets ``parameter``."""
+    return FLAGS.get(parameter, "--" + parameter.replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "the extension, one file per norm")
     sweep.set_defaults(func=cmd_sweep)
     for command in (run, sweep):
-        for name, flag in THETA_FLAGS.items():
-            command.add_argument(flag, dest=name, type=float, default=None)
+        for name in THETA_NAMES:
+            command.add_argument(flag(name), dest=name, type=float,
+                                 default=None)
 
     stab = sub.add_parser("stability", help="amplification-factor map")
     stab.add_argument("--variant", required=True, choices=VARIANTS)
@@ -107,32 +122,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _schemes(names: str, args) -> list[SchemeConfig]:
-    """Configs for comma-separated scheme names, each taking its parameter
-    from its flag or DEFAULT_THETA.  A theta flag that no listed scheme
-    takes is a usage error."""
-    try:
-        variants = [SchemeVariant(name.strip()) for name in names.split(",")]
-    except ValueError as err:
-        raise UsageError(f"--schemes: {err}") from err
+def _items(args, name: str, known) -> list[str]:
+    """The comma-separated items of flag ``name``, each one of ``known``."""
+    items = [item.strip() for item in getattr(args, name).split(",")]
+    for item in items:
+        if item not in known:
+            raise ParameterError(
+                name, f"{item!r} is not one of {', '.join(known)}"
+            )
+    return items
+
+
+def _schemes(args, name: str) -> list[SchemeConfig]:
+    """Configs for the scheme names of flag ``name``, each taking its
+    parameter from its flag or DEFAULT_THETA.  A theta flag that no listed
+    scheme takes is a usage error."""
+    variants = [SchemeVariant(v) for v in _items(args, name, VARIANTS)]
     taken = {PARAMETER[v] for v in variants}
-    for name, flag in THETA_FLAGS.items():
-        if getattr(args, name) is not None and name not in taken:
-            raise UsageError(f"{flag} does not apply to scheme(s) '{names}'")
-    configs = []
-    for variant in variants:
-        name = PARAMETER[variant]
-        if name is None:
-            configs.append(SchemeConfig(variant))
-            continue
-        value = getattr(args, name)
-        try:
-            configs.append(SchemeConfig(
-                variant, **{name: DEFAULT_THETA if value is None else value}
-            ))
-        except ValueError as err:
-            raise UsageError(f"{THETA_FLAGS[name]}: {err}") from err
-    return configs
+    for theta in THETA_NAMES:
+        if getattr(args, theta) is not None and theta not in taken:
+            raise ParameterError(theta, "does not apply to scheme(s) "
+                                        f"'{getattr(args, name)}'")
+
+    def config(variant: SchemeVariant) -> SchemeConfig:
+        theta = PARAMETER[variant]
+        if theta is None:
+            return SchemeConfig(variant)
+        value = getattr(args, theta)
+        return SchemeConfig(
+            variant, **{theta: DEFAULT_THETA if value is None else value}
+        )
+    return [config(variant) for variant in variants]
 
 
 def _given(**options) -> dict:
@@ -143,50 +163,40 @@ def _given(**options) -> dict:
 
 def _problem(args, **burgers_only):
     """The --problem's Problem.  Giving --cfl for burgers, or a flag of
-    ``burgers_only`` (dest -> value) for advection, is a usage error."""
-    if args.problem == "burgers":
-        if args.cfl is not None:
-            raise UsageError("--cfl does not apply to burgers")
-    else:
-        for name, value in burgers_only.items():
-            if value is not None:
-                flag = "--" + name.replace("_", "-")
-                raise UsageError(f"{flag} applies to burgers only")
+    ``burgers_only`` (parameter -> value) for advection, is a usage
+    error."""
+    given = {"cfl": args.cfl} if args.problem == "burgers" else burgers_only
+    for name, value in given.items():
+        if value is not None:
+            raise ParameterError(
+                name, f"does not apply to --problem {args.problem}"
+            )
     return PROBLEMS[args.problem]()
 
 
 def cmd_run(args) -> int:
     problem = _problem(args, dt=args.dt)
-    (scheme,) = _schemes(args.scheme, args)
-    if args.t_final < 0.0:
-        raise UsageError("--t-final must be non-negative")
-    try:
-        grid = Grid1D(args.n)
-    except ValueError as err:
-        raise UsageError(f"--n: {err}") from err
+    (scheme,) = _schemes(args, "scheme")
+    grid = Grid1D(args.n)
     if problem.has_exact:
         dt = analysis.advection_dt(problem, args.n, **_given(cfl=args.cfl))
     else:
         dt = args.dt if args.dt is not None else analysis.burgers_dt(args.n)
+    # dt comes from --cfl or --dt, and only here is it known which
     if not 0.0 < dt < math.inf:
-        flag = "--cfl" if problem.has_exact else "--dt"
-        raise UsageError(f"{flag} must yield a positive finite time step")
-    try:
-        steps = steps_for(args.t_final, dt)
-    except ValueError as err:
-        raise UsageError(f"--t-final: {err}") from err
+        raise ParameterError("cfl" if problem.has_exact else "dt",
+                             "must yield a positive finite time step")
+    steps = steps_for(args.t_final, dt)
 
-    final = integrate(initial_condition(grid), scheme, problem.rhs, dt, steps)
+    # the reference first: its fine step may not reach t_final either
     if problem.has_exact:
         reference = problem.exact_field(grid, args.t_final)
     else:
         dt_fine = analysis.burgers_dt(args.n) / analysis.REFERENCE_DIVISOR
-        try:
-            reference = analysis.burgers_reference(
-                args.n, dt_fine, args.t_final, problem.viscosity
-            )
-        except ValueError as err:
-            raise UsageError(f"--t-final: {err}") from err
+        reference = analysis.burgers_reference(
+            args.n, dt_fine, args.t_final, problem.viscosity
+        )
+    final = integrate(initial_condition(grid), scheme, problem.rhs, dt, steps)
     output.write_text(
         args.out, output.solution_csv(grid, final.values, reference.values)
     )
@@ -194,35 +204,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    schemes = _schemes(args.schemes, args)
-    norms = [n.strip() for n in args.norms.split(",")]
-    for n in norms:
-        if n not in NORM_KEYS:
-            raise UsageError(f"--norms: unknown norm '{n}'")
+    schemes = _schemes(args, "schemes")
+    norms = _items(args, "norms", NORM_KEYS)
     resolutions = None
     if args.resolutions is not None:
-        try:
-            resolutions = tuple(
-                int(r) for r in args.resolutions.split(",")
-            )
-        except ValueError as err:
-            raise UsageError(f"--resolutions: {err}") from err
+        items = args.resolutions.split(",")
+        if not all(INTEGER.fullmatch(item) for item in items):
+            raise ParameterError("resolutions",
+                                 "resolutions must be comma-separated ints")
+        resolutions = tuple(map(int, items))
     problem = _problem(
-        args, n=args.n, dt_base=args.dt_base, cache_dir=args.cache_dir
+        args, n_cells=args.n, dt_base=args.dt_base, cache_dir=args.cache_dir
     )
-    try:
-        if problem.has_exact:
-            spec = advection_sweep(problem, schemes, **_given(
-                resolutions=resolutions, cfl=args.cfl, t_final=args.t_final,
-            ))
-        else:
-            spec = burgers_sweep(schemes, **_given(
-                dt_divisors=resolutions, n_cells=args.n,
-                t_final=args.t_final, dt_base=args.dt_base,
-                cache_dir=args.cache_dir,
-            ))
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    if problem.has_exact:
+        spec = advection_sweep(problem, schemes, **_given(
+            resolutions=resolutions, cfl=args.cfl, t_final=args.t_final,
+        ))
+    else:
+        spec = burgers_sweep(schemes, **_given(
+            dt_divisors=resolutions, n_cells=args.n,
+            t_final=args.t_final, dt_base=args.dt_base,
+            cache_dir=args.cache_dir,
+        ))
 
     try:
         if spec.cache_dir is not None:
@@ -231,7 +234,7 @@ def cmd_sweep(args) -> int:
         # tables, so a failed write leaves no table behind
         result = analysis.run_sweep(spec)
     except OSError as err:
-        raise UsageError(f"--cache-dir: {err}") from err
+        raise ParameterError("cache_dir", str(err)) from err
     render = output.sweep_csv if args.format == "csv" else output.sweep_markdown
     extension = ".csv" if args.format == "csv" else ".md"
     for norm in norms:
@@ -242,27 +245,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    for name in ("theta_min", "theta_max", "beta_min", "beta_max"):
-        if not math.isfinite(getattr(args, name)):
-            raise UsageError(f"--{name.replace('_', '-')} must be finite")
-    if args.theta_min > args.theta_max:
-        raise UsageError("--theta-min exceeds --theta-max")
-    if args.beta_min > args.beta_max:
-        raise UsageError("--beta-min exceeds --beta-max")
-    if args.resolution < 2:
-        raise UsageError("--resolution must be at least 2")
     variant = SchemeVariant(args.variant)
     name = PARAMETER[variant]
     # the map's theta axis is the variant's parameter; a weight of theta,
     # swapped or aa lies in [0, 1], as SchemeConfig checks, while ga's map
-    # also takes theta1 = 0, which no ga scheme does
+    # also takes theta1 = 0, which no ga scheme does.  scan_region maps
+    # any theta, so the bounds are checked here
     if name is not None and variant is not SchemeVariant.GA:
         for bound in ("theta_min", "theta_max"):
             try:
                 SchemeConfig(variant, **{name: getattr(args, bound)})
-            except ValueError as err:
-                flag = "--" + bound.replace("_", "-")
-                raise UsageError(f"{flag}: {err}") from err
+            except ParameterError as err:
+                raise ParameterError(bound, str(err)) from err
     # finite but huge bounds overflow the factor's terms: to an inf |g|,
     # which is written as such, or to inf * 0, a NaN, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,10 +267,11 @@ def cmd_stability(args) -> int:
             resolution=args.resolution,
         )
     if np.isnan(stability_map.modulus).any():
-        raise UsageError(
-            "--theta-min/--theta-max or --beta-min/--beta-max: |g| is not "
-            "a number on this map; its bounds are too large"
-        )
+        # the bound of largest magnitude is the one that overflowed
+        bound = max(("theta_min", "theta_max", "beta_min", "beta_max"),
+                    key=lambda b: abs(getattr(args, b)))
+        raise ParameterError(bound, "|g| is not a number on this map; its "
+                                    "bounds are too large")
     output.write_text(args.out, output.stability_csv(stability_map))
     if args.pgm is not None:
         output.write_text(args.pgm, output.stability_pgm(stability_map))
@@ -288,13 +283,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # fail before any work, not after a whole sweep
-        for path in (args.out, getattr(args, "pgm", None)):
+        for name in ("out", "pgm"):
+            path = getattr(args, name, None)
             if path is not None and not path.parent.is_dir():
-                raise UsageError(f"no directory {str(path.parent)!r} "
-                                 f"for {path.name}")
+                raise ParameterError(
+                    name, f"no directory {str(path.parent)!r} for {path.name}"
+                )
         return args.func(args)
-    except UsageError as err:
-        print(f"icnlab: error: {err}", file=sys.stderr)
+    except ParameterError as err:
+        print(f"icnlab: error: {flag(err.parameter)}: {err}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as err:
         print(f"icnlab: numerical failure: {err}", file=sys.stderr)

@@ -1,13 +1,23 @@
 """Uniform periodic 1-D grid, nodal fields, and centered difference operators.
 
 Everything downstream (problem right-hand sides, time steppers, stencil
-oracles) is built from the periodic operators defined here.
+oracles) is built from the periodic operators defined here.  A value from
+outside that is out of its domain raises ParameterError, which names it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class ParameterError(ValueError):
+    """A value given to the library is out of its domain; ``parameter`` is
+    the name it was given under."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 class DivergenceError(RuntimeError):
@@ -32,7 +42,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 4:
             # the widest stencil reaches j +- 3; wrap needs at least 4 nodes
-            raise ValueError("n_cells must be at least 4")
+            raise ParameterError("n_cells", "n_cells must be at least 4")
 
     @property
     def dx(self) -> float:

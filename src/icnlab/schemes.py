@@ -30,14 +30,8 @@ and a Fourier mode with beta = R sin(k dx) gains the factor R(z) at
 z = -2i beta, the stability polynomial rather than the Courant number
 (stability.amplification).
 
-One loop, ``_run``, advances the rows of a (K, N) state on raw nodal
-arrays, row k by its own scheme: each factor of the step is spread once
-per run into a full array of the state's shape, row k holding its scheme's
-value, one set per step parity, so the schemes that share a grid and dt (a
-sweep resolution) run as one array, and an aa row flips its weight each
-step.  The operator is resolved to its array form once per run, and
-finiteness is checked once per step; a row that stops being finite is
-recorded with the step where it did, and the other rows carry on.
+One loop, ``_run``, advances every step; its docstring says how the rows
+of a batch each take their own scheme and how divergence is recorded.
 ``_run_row`` is its one-row case on raw values, which the Burgers reference
 drives, and ``integrate``, SchemeConfig.step and the step_* functions are
 that case on Fields; all of them raise DivergenceError with that step.
@@ -55,6 +49,7 @@ from .core import (
     DivergenceError,
     Field,
     Grid1D,
+    ParameterError,
     delta1_array,
     delta2_array,
     delta3_array,
@@ -212,13 +207,15 @@ class SchemeConfig:
             given = getattr(self, name) is not None
             if given != (name == PARAMETER[self.variant]):
                 verb = "does not take" if given else "requires"
-                raise ValueError(f"{self.variant.value} scheme {verb} {name}")
+                raise ParameterError(
+                    name, f"{self.variant.value} scheme {verb} {name}"
+                )
         if self.theta1 is not None and not 0.0 < self.theta1 < math.inf:
-            raise ValueError("invalid theta1")
+            raise ParameterError("theta1", "theta1 must be positive and finite")
         for name in ("theta", "theta_odd"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise ParameterError(name, f"{name} must lie in [0, 1]")
 
     @classmethod
     def icn(cls) -> "SchemeConfig":
@@ -383,9 +380,9 @@ def integrate(
     step.
     """
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise ParameterError("dt", "dt must be positive")
     if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
+        raise ParameterError("n_steps", "n_steps must be non-negative")
     return _run_one(u0, scheme, rhs, dt, range(n_steps), observer)
 
 

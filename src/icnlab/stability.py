@@ -9,11 +9,13 @@ one period of the weights: one step, or aa's pair of steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .core import ParameterError
 from .schemes import SchemeVariant, period_coefficients
 
 # |g| <= 1 + this counts as stable; marginal modes (|g| = 1) are classically
@@ -107,14 +109,20 @@ def scan_region(
 ) -> StabilityMap:
     """Grid-evaluate |g| over the requested rectangle, with theta the
     variant's parameter; aa is judged on its two-step product without
-    per-step normalization."""
+    per-step normalization.  Theta is not limited to the weight's domain:
+    the map may extend past the schemes SchemeConfig accepts."""
     variant = SchemeVariant(variant)
     if resolution < 2:
-        raise ValueError("resolution must be at least 2 points per axis")
+        raise ParameterError("resolution",
+                             "resolution must be at least 2 points per axis")
     t_lo, t_hi = theta_range
     b_lo, b_hi = beta_range
-    if t_lo > t_hi or b_lo > b_hi:
-        raise ValueError("malformed scan range")
+    if not -math.inf < t_lo <= t_hi < math.inf:
+        raise ParameterError("theta_range", "theta_range must be finite, "
+                                            "low <= high")
+    if not -math.inf < b_lo <= b_hi < math.inf:
+        raise ParameterError("beta_range", "beta_range must be finite, "
+                                           "low <= high")
     theta_axis = _axis(t_lo, t_hi, resolution)
     beta_axis = np.linspace(b_lo, b_hi, resolution)
     theta, beta = np.meshgrid(theta_axis, beta_axis)

@@ -1,9 +1,12 @@
 import argparse
+import ast
+import contextlib
 import hashlib
 import inspect
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icnlab import analysis
-from icnlab.cli import EXIT_NUMERICAL, build_parser, main
+import icnlab
+from icnlab import analysis, cli
+from icnlab.cli import (EXIT_NUMERICAL, INTEGER, VARIANTS, build_parser,
+                        flag, main)
 from icnlab.problems import linear_advection
-from icnlab.schemes import SchemeVariant
+from icnlab.schemes import PARAMETER, SchemeVariant
 
 
 def run_cli(*args, env=None):
@@ -280,6 +285,20 @@ def test_run_burgers_keeps_no_reference_trajectory(tmp_path):
                  "8", "--t-final", "0.0625", "--out",
                  str(tmp_path / "r.csv")]) == 0
     assert analysis._reference_memo == {}
+
+
+def test_run_checks_the_reference_end_time_before_integrating(
+    tmp_path, monkeypatch, capsys
+):
+    # --dt reaches t_final in one step, and the reference step 0.5 dx^2 / 32
+    # does not: a usage error before the scheme takes a step
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+    assert main(["run", "--problem", "burgers", "--scheme", "icn", "--n",
+                 "8", "--dt", "0.003", "--t-final", "0.003", "--out",
+                 str(tmp_path / "r.csv")]) == 2
+    assert "--t-final" in capsys.readouterr().err
+    assert calls == []
 
 
 def _change_one_digit(line):
@@ -590,6 +609,80 @@ def test_float_flags_cover_every_command():
     assert len(_float_flags()) == 16
 
 
+# argvs with an int or a range at fault, each with the flag that sets it
+FLAG_PROBES = [
+    (["sweep", "--problem", "burgers", "--n", "2"], "--n"),
+    *[(["sweep", "--problem", "linear", "--resolutions", resolutions],
+       "--resolutions") for resolutions in ("2,4", "0,1", "16,8")],
+    (["sweep", "--problem", "burgers", "--resolutions", "3"],
+     "--resolutions"),
+    # the dt divisor 1 takes 0.001 / (0.5 / 30^2) = 1.8 steps
+    (["sweep", "--problem", "burgers", "--resolutions", "1,2",
+      "--t-final", "0.001"], "--t-final"),
+]
+
+
+def _flag_probes():
+    for command, flag_ in _float_flags():
+        for value in ("nan", "inf", "-inf", "-1", "0"):
+            for k, base in enumerate(FLOAT_FLAG_BASES[command]):
+                yield pytest.param([command, *base, f"{flag_}={value}"], flag_,
+                                   id=f"{command}{k}{flag_}={value}")
+    for k, (argv, flag_) in enumerate(FLAG_PROBES):
+        yield pytest.param(argv, flag_, id=f"{argv[0]}-probe{k}")
+
+
+@pytest.mark.parametrize("argv, flag_", _flag_probes())
+def test_every_usage_error_names_its_flag(tmp_path, capsys, argv, flag_):
+    # whichever check rejects a value, library or CLI, the message names
+    # the flag that gave it
+    code = main(argv + [a.format(out=tmp_path) for a in OUTPUTS[argv[0]]])
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("icnlab: error: --"), err
+        assert re.search(rf"{re.escape(flag_)}(?![\w-])", err), err
+
+
+def _parameter_literals():
+    """The parameter of every ParameterError raised under src/icnlab with
+    a string literal for it."""
+    names = set()
+    for path in Path(icnlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "ParameterError"
+                    and isinstance(node.args[0], ast.Constant)):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_every_parameter_maps_to_a_flag():
+    # a library parameter renamed without its entry in cli.FLAGS fails
+    # here, not as a message that names no flag; a scan range maps to the
+    # pair of flags that bound it.  SchemeConfig names its parameter from
+    # schemes.PARAMETER
+    options = {option for parser in _commands().values()
+               for action in parser._actions
+               for option in action.option_strings}
+    names = _parameter_literals() | {p for p in PARAMETER.values() if p}
+    assert {"n_cells", "t_final", "theta1", "theta_range", "resolution",
+            "cfl", "cache_dir"} <= names
+    for name in sorted(names):
+        assert set(flag(name).split("/")) <= options, (name, flag(name))
+
+
+@given(st.text(st.sampled_from(list(" \t\n\xa0\x1c\x1f+-_059\u0663x.,"))
+               | st.characters(), max_size=8))
+def test_resolutions_take_the_ints_that_int_takes(text):
+    try:
+        int(text)
+    except ValueError:
+        assert not INTEGER.fullmatch(text)
+    else:
+        assert INTEGER.fullmatch(text)
+
+
 def test_sweep_repeat_is_byte_identical(tmp_path):
     args = ["sweep", "--problem", "linear", "--schemes", "icn,aa",
             "--resolutions", "100,200", "--norms", "l1,linf"]
@@ -803,15 +896,98 @@ def _work(argv):
         _steps(args.t_final, base / r) for r in resolutions if r > 0))
 
 
+# Valid-leaning argvs: grid sizes of at least 4, end times that are whole
+# numbers of steps, and theta in [0, 1], so that most draws run to exit 0
+# with edge values such as theta = 0 or 1, n = 4 or 0 steps.
+THETAS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _valid_argvs(draw):
+    command = draw(st.sampled_from(["run", "sweep", "stability"]))
+    if command == "stability":
+        thetas = sorted(draw(st.lists(THETAS, min_size=2, max_size=2)))
+        betas = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=2,
+                                     max_size=2)))
+        argv = ["stability", f"--variant={draw(st.sampled_from(VARIANTS))}",
+                f"--theta-min={thetas[0]!r}", f"--theta-max={thetas[1]!r}",
+                f"--beta-min={betas[0]!r}", f"--beta-max={betas[1]!r}",
+                f"--resolution={draw(st.integers(2, 12))}",
+                "--out={tmp}/m.csv"]
+        if draw(st.booleans()):
+            argv.append("--pgm={tmp}/m.pgm")
+        return argv
+    problem = draw(st.sampled_from(["linear", "semilinear", "burgers"]))
+    if command == "run":
+        schemes = [draw(st.sampled_from(VARIANTS))]
+        n = draw(st.integers(4, 16))
+        argv = ["run", f"--problem={problem}", f"--scheme={schemes[0]}",
+                f"--n={n}", "--out={tmp}/o.csv"]
+        steps = draw(st.integers(0, 4))
+        if problem == "burgers":
+            dt = analysis.burgers_dt(n) / draw(st.sampled_from([1, 2, 4]))
+            argv.append(f"--dt={dt!r}")
+        else:
+            cfl = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+            dt = analysis.advection_dt(linear_advection(), n, cfl)
+            argv.append(f"--cfl={cfl!r}")
+        argv.append(f"--t-final={steps * dt!r}")
+    else:
+        schemes = draw(st.lists(st.sampled_from(VARIANTS), min_size=1,
+                                max_size=5, unique=True))
+        argv = ["sweep", f"--problem={problem}",
+                f"--schemes={','.join(schemes)}", "--out={tmp}/t.csv",
+                f"--norms={draw(st.sampled_from(['l1', 'l2,linf']))}",
+                f"--format={draw(st.sampled_from(['csv', 'markdown']))}"]
+        steps = draw(st.integers(1, 2))
+        if problem == "burgers":
+            n = draw(st.integers(4, 8))
+            divisors = draw(st.sampled_from([(1,), (1, 2), (2, 4)]))
+            dt_base = analysis.burgers_dt(n) * draw(st.sampled_from([1, 2]))
+            argv += [f"--n={n}", f"--dt-base={dt_base!r}",
+                     f"--t-final={steps * dt_base!r}"]
+            if draw(st.booleans()):
+                argv.append("--cache-dir={tmp}/cache")
+        else:
+            n = draw(st.integers(4, 8))
+            divisors = (n, 2 * n)
+            cfl = draw(st.sampled_from([0.25, 0.5]))
+            dt = analysis.advection_dt(linear_advection(), n, cfl)
+            argv += [f"--cfl={cfl!r}", f"--t-final={steps * dt!r}"]
+        argv.append(f"--resolutions={','.join(map(str, divisors))}")
+    for variant in set(schemes):
+        theta = PARAMETER[SchemeVariant(variant)]
+        if theta is not None and draw(st.booleans()):
+            argv.append(f"{flag(theta)}={draw(THETAS)!r}")
+    return argv
+
+
+def _keeps_exit_code_contract(argv):
+    """0, 2 or 3 and no exception; a usage error names a flag and writes
+    no output file."""
+    analysis._reference_memo.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([a.format(tmp=tmp) for a in argv])
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert err.getvalue().startswith("icnlab: error: --"), (
+                argv, err.getvalue())
+            written = [p for p in Path(tmp).rglob("*") if p.is_file()]
+            assert written == [], argv
+    return code
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT))
 def test_main_keeps_exit_code_contract_on_generated_argvs(argv):
-    # any argv the parser accepts, built from its own actions: 0, 2 or 3
-    # and no exception, and a usage error writes no output file
-    analysis._reference_memo.clear()
-    with tempfile.TemporaryDirectory() as tmp:
-        code = main([a.format(tmp=tmp) for a in argv])
-        assert code in (0, 2, 3), argv
-        if code == 2:
-            written = [p for p in Path(tmp).rglob("*") if p.is_file()]
-            assert written == [], argv
+    # any argv the parser accepts, built from its own actions
+    _keeps_exit_code_contract(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_valid_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT))
+def test_main_keeps_exit_code_contract_on_valid_argvs(argv):
+    # argvs that mostly run, at the edges of the valid values
+    _keeps_exit_code_contract(argv)
