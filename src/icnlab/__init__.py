@@ -34,25 +34,12 @@ from .schemes import (
     aa_linear_stencil,
     ga_linear_stencil,
     integrate,
-    step_aa,
-    step_ga,
-    step_icn,
-    step_theta_icn,
 )
-from .stability import (
-    STABILITY_TOLERANCE,
-    AmplificationResult,
-    StabilityMap,
-    g_aa_composed,
-    g_ga,
-    g_theta_step,
-    scan_region,
-)
+from .stability import STABILITY_TOLERANCE, StabilityMap, scan_region
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplificationResult",
     "ConvergenceRow",
     "DivergenceError",
     "Field",
@@ -74,9 +61,6 @@ __all__ = [
     "burgers_reference",
     "burgers_sweep",
     "error_norms",
-    "g_aa_composed",
-    "g_ga",
-    "g_theta_step",
     "ga_linear_stencil",
     "initial_condition",
     "integrate",
@@ -85,9 +69,5 @@ __all__ = [
     "run_sweep",
     "scan_region",
     "semilinear_advection",
-    "step_aa",
-    "step_ga",
-    "step_icn",
-    "step_theta_icn",
     "steps_for",
 ]

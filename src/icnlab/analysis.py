@@ -181,7 +181,12 @@ class SweepSpec:
         elif self.resolutions[0] < 4:
             raise ParameterError("resolutions",
                                  "grid sizes must be at least 4")
-        # every cell must reach t_final, so no cell fails on its step count
+        # every cell must reach t_final, so no cell fails on its step count;
+        # a dt that underflows to 0 reaches none, through cfl or dt_base
+        if not all(self.dt(r) > 0.0 for r in self.resolutions):
+            raise ParameterError("dt_base" if self.is_burgers else "cfl",
+                                 "the time step underflows to 0, so t_final "
+                                 "is not reachable")
         for resolution in self.resolutions:
             steps_for(self.t_final, self.dt(resolution))
 

@@ -21,7 +21,8 @@ from . import analysis, output, problems
 from .analysis import NORM_KEYS, advection_sweep, burgers_sweep, steps_for
 from .core import DivergenceError, Grid1D, ParameterError
 from .problems import initial_condition
-from .schemes import PARAMETER, SchemeConfig, SchemeVariant, integrate
+from .schemes import (PARAMETER, VARIANTS, SchemeConfig, SchemeVariant,
+                      integrate)
 from .stability import scan_region
 
 EXIT_OK = 0
@@ -29,8 +30,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_THETA = 0.6
-# the scheme parameters (schemes.PARAMETER), also the dests of their flags
-THETA_NAMES = ("theta", "theta1", "theta_odd")
+# the scheme parameters in enum order, also the dests of their flags
+THETA_NAMES = tuple(dict.fromkeys(p for p in PARAMETER.values() if p))
 # The flag of each parameter whose flag is not "--" and its name with
 # dashes.  A parameter is a library argument or field (Grid1D, SchemeConfig,
 # steps_for, SweepSpec, integrate, scan_region) or the dest of a flag; a
@@ -45,7 +46,6 @@ INTEGER = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d(?:_?\d)*[^\S\x1c-\x1f]*")
 PROBLEMS = {"linear": problems.linear_advection,
             "semilinear": problems.semilinear_advection,
             "burgers": problems.burgers}
-VARIANTS = [variant.value for variant in SchemeVariant]
 
 
 def flag(parameter: str) -> str:
@@ -149,9 +149,7 @@ def _schemes(args, name: str) -> list[SchemeConfig]:
         if theta is None:
             return SchemeConfig(variant)
         value = getattr(args, theta)
-        return SchemeConfig(
-            variant, **{theta: DEFAULT_THETA if value is None else value}
-        )
+        return SchemeConfig(variant, DEFAULT_THETA if value is None else value)
     return [config(variant) for variant in variants]
 
 
@@ -254,7 +252,7 @@ def cmd_stability(args) -> int:
     if name is not None and variant is not SchemeVariant.GA:
         for bound in ("theta_min", "theta_max"):
             try:
-                SchemeConfig(variant, **{name: getattr(args, bound)})
+                SchemeConfig(variant, getattr(args, bound))
             except ParameterError as err:
                 raise ParameterError(bound, str(err)) from err
     # finite but huge bounds overflow the factor's terms: to an inf |g|,

@@ -19,22 +19,25 @@ and 1 - theta_odd (arithmetic mean 1/2).
 Read as a Runge-Kutta method, the step has nodes c = (0, w1, s w2), a21 =
 w1, a32 = s w2 and b = (0, 0, 1).  Its stability polynomial is
 R(z) = 1 + z + c2 z^2 + c3 z^3 with (c2, c3) = (s w2, s w1 w2)
-(coefficients), and it is second order iff s w2 = 1/2: ga meets that at
-every theta1, and aa's pair of steps cancels its error (theta - 1/2) +
-(1/2 - theta).  On linear advection u_t + a u_x = 0, with R = a dt / (2 dx),
-the step is the seven-point stencil
+(coefficients).  Its local error is dt^2 (s w2 - 1/2) L'(u) L(u), so it is
+second order iff s w2 = 1/2: ga meets that at every theta1, theta's and
+swapped's errors +-(theta - 1/2) mirror each other, and aa's pair of steps
+cancels its error (theta - 1/2) + (1/2 - theta).  On linear advection
+u_t + a u_x = 0, with R = a dt / (2 dx), the step is the seven-point
+stencil
 
     u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u        (linear_stencil)
 
 and a Fourier mode with beta = R sin(k dx) gains the factor R(z) at
 z = -2i beta, the stability polynomial rather than the Courant number
-(stability.amplification).
+(stability.amplification), under which swapped is weakly unstable for
+theta > 1/2 (the stability module docstring).
 
 One loop, ``_run``, advances every step; its docstring says how the rows
 of a batch each take their own scheme and how divergence is recorded.
 ``_run_row`` is its one-row case on raw values, which the Burgers reference
-drives, and ``integrate``, SchemeConfig.step and the step_* functions are
-that case on Fields; all of them raise DivergenceError with that step.
+drives, and ``integrate`` and SchemeConfig.step are that case on Fields;
+all of them raise DivergenceError with that step.
 """
 from __future__ import annotations
 
@@ -119,7 +122,10 @@ class SchemeVariant(str, Enum):
     AA = "aa"
 
 
-# The one weight parameter each variant takes (a SchemeConfig field name).
+VARIANTS = [variant.value for variant in SchemeVariant]
+
+
+# The name of the one weight parameter each variant takes (SchemeConfig.p).
 PARAMETER: dict[SchemeVariant, str | None] = {
     SchemeVariant.ICN: None,
     SchemeVariant.THETA_ICN: "theta",
@@ -176,7 +182,7 @@ def ga_linear_stencil(
     u: Field, courant: float, theta1: float, theta2: float
 ) -> Field:
     """The ga step with its last weight set to theta2, as a stencil; equal
-    to step_ga on linear advection when theta2 = 1/(4 theta1)."""
+    to the ga step on linear advection when theta2 = 1/(4 theta1)."""
     if not theta2 > 0.0:
         raise ValueError("stencil weights must be positive")
     w1, s, _ = SchemeConfig.ga(theta1).weights()
@@ -190,32 +196,30 @@ def aa_linear_stencil(u: Field, courant: float, theta: float) -> Field:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """A scheme variant plus its weight parameters, validated on creation.
+    """A scheme variant and p, its one weight parameter, validated on
+    creation.
 
-    Derived weights are never supplied directly: a ga config stores theta1
-    and exposes theta2 = 1/(4 theta1); an aa config stores theta_odd and
-    exposes theta_even = 1 - theta_odd.
+    PARAMETER names p per variant, and errors use that name: theta for
+    theta and swapped, theta1 for ga, theta_odd for aa; icn takes none, so
+    its p is None.  Derived weights are never supplied directly: a ga config
+    exposes theta2 = 1/(4 theta1), an aa config theta_even = 1 - theta_odd.
     """
 
     variant: SchemeVariant
-    theta: float | None = None
-    theta1: float | None = None
-    theta_odd: float | None = None
+    p: float | None = None
 
     def __post_init__(self):
-        for name in ("theta", "theta1", "theta_odd"):
-            given = getattr(self, name) is not None
-            if given != (name == PARAMETER[self.variant]):
-                verb = "does not take" if given else "requires"
-                raise ParameterError(
-                    name, f"{self.variant.value} scheme {verb} {name}"
-                )
-        if self.theta1 is not None and not 0.0 < self.theta1 < math.inf:
-            raise ParameterError("theta1", "theta1 must be positive and finite")
-        for name in ("theta", "theta_odd"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ParameterError(name, f"{name} must lie in [0, 1]")
+        name = PARAMETER[self.variant]
+        if (self.p is None) != (name is None):
+            need = f"requires {name}" if name else "takes no parameter"
+            raise ParameterError(name or "p",
+                                 f"{self.variant.value} scheme {need}")
+        if self.variant == SchemeVariant.GA:
+            if not 0.0 < self.p < math.inf:
+                raise ParameterError(name, f"{name} must be positive and "
+                                           "finite")
+        elif name is not None and not 0.0 <= self.p <= 1.0:
+            raise ParameterError(name, f"{name} must lie in [0, 1]")
 
     @classmethod
     def icn(cls) -> "SchemeConfig":
@@ -223,19 +227,19 @@ class SchemeConfig:
 
     @classmethod
     def theta_icn(cls, theta: float) -> "SchemeConfig":
-        return cls(SchemeVariant.THETA_ICN, theta=theta)
+        return cls(SchemeVariant.THETA_ICN, theta)
 
     @classmethod
     def swapped_theta_icn(cls, theta: float) -> "SchemeConfig":
-        return cls(SchemeVariant.SWAPPED_THETA_ICN, theta=theta)
+        return cls(SchemeVariant.SWAPPED_THETA_ICN, theta)
 
     @classmethod
     def ga(cls, theta1: float) -> "SchemeConfig":
-        return cls(SchemeVariant.GA, theta1=theta1)
+        return cls(SchemeVariant.GA, theta1)
 
     @classmethod
     def aa(cls, theta_odd: float) -> "SchemeConfig":
-        return cls(SchemeVariant.AA, theta_odd=theta_odd)
+        return cls(SchemeVariant.AA, theta_odd)
 
     @property
     def theta2(self) -> float:
@@ -251,15 +255,13 @@ class SchemeConfig:
 
     def label(self) -> str:
         """Short deterministic tag used in table output, e.g. ga(0.6)."""
-        name = PARAMETER[self.variant]
-        if name is None:
+        if self.p is None:
             return self.variant.value
-        return f"{self.variant.value}({getattr(self, name):g})"
+        return f"{self.variant.value}({self.p:g})"
 
     def weights(self, step_index: int = 0) -> tuple[float, float, float]:
         """Averaging weights (w1, s, w2) of step ``step_index`` (from 0)."""
-        name = PARAMETER[self.variant]
-        period = WEIGHTS[self.variant](getattr(self, name) if name else None)
+        period = WEIGHTS[self.variant](self.p)
         return period[step_index % len(period)]
 
     def step(
@@ -385,58 +387,3 @@ def integrate(
         raise ParameterError("n_steps", "n_steps must be non-negative")
     return _run_one(u0, scheme, rhs, dt, range(n_steps), observer)
 
-
-def step_icn(u: Field, rhs: RhsOperator, dt: float) -> Field:
-    """One step of the classical two-iteration scheme (weights 1/2)."""
-    return SchemeConfig.icn().step(u, rhs, dt)
-
-
-def step_theta_icn(
-    u: Field,
-    rhs: RhsOperator,
-    dt: float,
-    theta: float,
-    swapped: bool = False,
-) -> Field:
-    """One weighted step; ``swapped`` flips the second averaging weight.
-
-    The step is first order unless the second weight is 1/2: its local
-    error is dt^2 (w2 - 1/2) L'(u) L(u), +(theta - 1/2) for theta and
-    -(theta - 1/2) for swapped, so the two errors mirror each other.
-
-    For theta > 1/2 the swapped scheme is weakly unstable.  On linear
-    advection its factor has |g|^2 = 1 + 4 beta^2 (2 theta - 1)
-    + O(beta^4) > 1 for small beta (scan_region("swapped")).  At theta =
-    0.6 and CFL 0.5 (R = 1/4) the worst mode gains about 1.5% per step, so
-    round-off grows like 1.015^n: the L-infinity order at N = 1600 drops
-    to 0.98 (theta gives 1.00), at N = 3200 the linear error reaches 3e5
-    and the semilinear run diverges.  Refinement studies of swapped must
-    stop at N = 1600.
-    """
-    config = (SchemeConfig.swapped_theta_icn(theta) if swapped
-              else SchemeConfig.theta_icn(theta))
-    return config.step(u, rhs, dt)
-
-
-def step_ga(u: Field, rhs: RhsOperator, dt: float, theta1: float) -> Field:
-    """One step with geometrically constrained weights theta1, 1/(4 theta1).
-
-    The second predictor uses the increment 2 theta1 dt so that the final
-    averaging (weight theta2) lands on the half-step time level.
-    """
-    return SchemeConfig.ga(theta1).step(u, rhs, dt)
-
-
-def step_aa(
-    u: Field,
-    rhs: RhsOperator,
-    dt: float,
-    theta_odd: float,
-    step_index: int,
-) -> Field:
-    """One alternating-weight step.
-
-    The first step of a run (step_index 0) uses theta_odd, the next uses
-    1 - theta_odd, and so on; the integrator threads step_index.
-    """
-    return SchemeConfig.aa(theta_odd).step(u, rhs, dt, step_index)

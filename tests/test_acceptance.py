@@ -29,13 +29,12 @@ from icnlab.problems import (
 )
 from icnlab.schemes import (
     SchemeConfig,
+    SchemeVariant,
     aa_linear_stencil,
     ga_linear_stencil,
     integrate,
-    step_aa,
-    step_ga,
 )
-from icnlab.stability import g_aa_composed, g_ga, scan_region
+from icnlab.stability import period_factor, scan_region
 
 ALL_SCHEMES = (
     SchemeConfig.icn(),
@@ -206,11 +205,11 @@ def test_criterion_4_burgers_tables(burgers_result):
 
 def test_criterion_5_stability_spot_checks():
     failures = []
-    ga_modulus = g_ga(0.4, 0.6).modulus
+    ga_modulus = abs(complex(*period_factor(SchemeVariant.GA, 0.4, 0.6)))
     if not 0.88 <= ga_modulus <= 0.92:
         failures.append(f"|g_ga(0.4, 0.6)| = {ga_modulus:.4f} not in "
                         "[0.88, 0.92]")
-    aa_modulus = g_aa_composed(0.4, 0.6).modulus
+    aa_modulus = abs(complex(*period_factor(SchemeVariant.AA, 0.4, 0.6)))
     if not 0.5 <= aa_modulus <= 0.7:
         failures.append(f"|g_aa(0.4, 0.6)| = {aa_modulus:.4f} not in "
                         "[0.5, 0.7]")
@@ -242,7 +241,7 @@ def test_criterion_6_oracle_equivalence():
         for theta in (0.3, 0.5, 0.6, 0.9):
             for courant in (0.1, 0.25, 0.45):
                 dt = 2.0 * courant * grid.dx
-                staged = step_ga(u, problem.rhs, dt, theta)
+                staged = SchemeConfig.ga(theta).step(u, problem.rhs, dt)
                 stencil = ga_linear_stencil(
                     u, courant, theta, 1.0 / (4.0 * theta)
                 )
@@ -252,7 +251,7 @@ def test_criterion_6_oracle_equivalence():
                     failures.append(
                         f"ga n={n} theta={theta} R={courant}: {gap:.2e}"
                     )
-                staged = step_aa(u, problem.rhs, dt, theta, 0)
+                staged = SchemeConfig.aa(theta).step(u, problem.rhs, dt)
                 stencil = aa_linear_stencil(u, courant, theta)
                 gap = np.abs(staged.values - stencil.values).max()
                 scale = np.abs(stencil.values).max()

@@ -369,9 +369,8 @@ def scheme_batches(draw):
                              min_size=1, max_size=5, unique=True))
     configs = []
     for variant in variants:
-        name = PARAMETER[variant]
-        params = {} if name is None else {name: draw(st.floats(0.05, 0.95))}
-        configs.append(SchemeConfig(variant, **params))
+        p = None if PARAMETER[variant] is None else draw(st.floats(0.05, 0.95))
+        configs.append(SchemeConfig(variant, p))
     return configs
 
 

@@ -609,7 +609,8 @@ def test_float_flags_cover_every_command():
     assert len(_float_flags()) == 16
 
 
-# argvs with an int or a range at fault, each with the flag that sets it
+# argvs with an int or a range at fault, or a float whose time step
+# underflows to 0, each with the flag that sets it
 FLAG_PROBES = [
     (["sweep", "--problem", "burgers", "--n", "2"], "--n"),
     *[(["sweep", "--problem", "linear", "--resolutions", resolutions],
@@ -619,6 +620,11 @@ FLAG_PROBES = [
     # the dt divisor 1 takes 0.001 / (0.5 / 30^2) = 1.8 steps
     (["sweep", "--problem", "burgers", "--resolutions", "1,2",
       "--t-final", "0.001"], "--t-final"),
+    (["sweep", "--problem", "linear", "--cfl", "5e-324", "--resolutions",
+      "8,16"], "--cfl"),
+    # dt = 5e-324 / 2 rounds to 0 at the divisor 2
+    (["sweep", "--problem", "burgers", "--n", "8", "--dt-base", "5e-324",
+      "--resolutions", "1,2", "--t-final", "0.03125"], "--dt-base"),
 ]
 
 

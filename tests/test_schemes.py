@@ -7,6 +7,7 @@ from icnlab.core import (
     DivergenceError,
     Field,
     Grid1D,
+    ParameterError,
     delta1_array,
     delta2_array,
     delta3_array,
@@ -27,13 +28,10 @@ from icnlab.schemes import (
     ga_linear_stencil,
     integrate,
     period_coefficients,
-    step_aa,
-    step_ga,
-    step_icn,
-    step_theta_icn,
 )
 
 LINEAR = linear_advection()
+ICN = SchemeConfig.icn()
 
 
 def zero_rhs(u):
@@ -59,10 +57,11 @@ def courant_dt(grid, courant, speed=1.0):
 @pytest.mark.parametrize(
     "step",
     [
-        lambda u: step_icn(u, zero_rhs, 0.1),
-        lambda u: step_theta_icn(u, zero_rhs, 0.1, 1.0),
-        lambda u: step_ga(u, zero_rhs, 0.1, 0.7),
-        lambda u: step_aa(u, zero_rhs, 0.1, 0.3, 0),
+        lambda u: ICN.step(u, zero_rhs, 0.1),
+        lambda u: SchemeConfig.theta_icn(1.0).step(u, zero_rhs, 0.1),
+        lambda u: SchemeConfig.ga(0.7).step(u, zero_rhs, 0.1),
+        lambda u: SchemeConfig.aa(0.3).step(u, zero_rhs, 0.1),
+        lambda u: SchemeConfig.swapped_theta_icn(0.3).step(u, zero_rhs, 0.1),
     ],
 )
 def test_zero_rhs_is_identity(step):
@@ -73,14 +72,14 @@ def test_zero_rhs_is_identity(step):
 def test_icn_hand_value():
     grid = Grid1D(4)
     u = Field(grid, [0.0, 1.0, 0.0, -1.0])
-    out = step_icn(u, LINEAR.rhs, courant_dt(grid, 0.25))
+    out = ICN.step(u, LINEAR.rhs, courant_dt(grid, 0.25))
     assert out.values[0] == pytest.approx(-0.46875, abs=1e-15)
 
 
 def test_semilinear_zero_fixed_point():
     grid = Grid1D(8)
     u = Field(grid, np.zeros(8))
-    out = step_icn(u, semilinear_advection().rhs, 0.01)
+    out = ICN.step(u, semilinear_advection().rhs, 0.01)
     assert np.array_equal(out.values, np.zeros(8))
 
 
@@ -89,8 +88,10 @@ def test_theta_half_equals_icn(swapped):
     grid = Grid1D(32)
     u = smooth_field(grid, seed=2)
     dt = courant_dt(grid, 0.25)
-    a = step_icn(u, LINEAR.rhs, dt)
-    b = step_theta_icn(u, LINEAR.rhs, dt, 0.5, swapped=swapped)
+    a = ICN.step(u, LINEAR.rhs, dt)
+    config = (SchemeConfig.swapped_theta_icn if swapped
+              else SchemeConfig.theta_icn)
+    b = config(0.5).step(u, LINEAR.rhs, dt)
     assert np.array_equal(a.values, b.values)
 
 
@@ -98,8 +99,8 @@ def test_theta_and_swapped_differ():
     grid = Grid1D(200)
     u = initial_condition(grid)
     dt = courant_dt(grid, 0.25)
-    a = step_theta_icn(u, LINEAR.rhs, dt, 0.6)
-    b = step_theta_icn(u, LINEAR.rhs, dt, 0.6, swapped=True)
+    a = SchemeConfig.theta_icn(0.6).step(u, LINEAR.rhs, dt)
+    b = SchemeConfig.swapped_theta_icn(0.6).step(u, LINEAR.rhs, dt)
     assert np.isfinite(a.values).all() and np.isfinite(b.values).all()
     assert not np.array_equal(a.values, b.values)
 
@@ -109,8 +110,8 @@ def test_ga_half_matches_icn_trajectory():
     dt = courant_dt(grid, 0.25)
     u_icn = u_ga = initial_condition(grid)
     for _ in range(20):
-        u_icn = step_icn(u_icn, LINEAR.rhs, dt)
-        u_ga = step_ga(u_ga, LINEAR.rhs, dt, 0.5)
+        u_icn = ICN.step(u_icn, LINEAR.rhs, dt)
+        u_ga = SchemeConfig.ga(0.5).step(u_ga, LINEAR.rhs, dt)
     assert np.array_equal(u_icn.values, u_ga.values)
 
 
@@ -118,9 +119,10 @@ def test_aa_parity_alternation():
     grid = Grid1D(32)
     u = smooth_field(grid, seed=3)
     dt = courant_dt(grid, 0.2)
-    two = step_aa(step_aa(u, LINEAR.rhs, dt, 0.6, 0), LINEAR.rhs, dt, 0.6, 1)
-    manual = step_theta_icn(
-        step_theta_icn(u, LINEAR.rhs, dt, 0.6), LINEAR.rhs, dt, 0.4
+    aa = SchemeConfig.aa(0.6)
+    two = aa.step(aa.step(u, LINEAR.rhs, dt, 0), LINEAR.rhs, dt, 1)
+    manual = SchemeConfig.theta_icn(0.4).step(
+        SchemeConfig.theta_icn(0.6).step(u, LINEAR.rhs, dt), LINEAR.rhs, dt
     )
     assert np.array_equal(two.values, manual.values)
 
@@ -129,7 +131,8 @@ def test_ga_step_matches_stencil():
     grid = Grid1D(8)
     u = smooth_field(grid, seed=4)
     courant = 0.25
-    staged = step_ga(u, LINEAR.rhs, courant_dt(grid, courant), 0.6)
+    dt = courant_dt(grid, courant)
+    staged = SchemeConfig.ga(0.6).step(u, LINEAR.rhs, dt)
     stencil = ga_linear_stencil(u, courant, 0.6, 1.0 / 2.4)
     scale = np.abs(stencil.values).max()
     assert np.abs(staged.values - stencil.values).max() <= 1e-13 * scale
@@ -139,7 +142,8 @@ def test_aa_step_matches_stencil():
     grid = Grid1D(8)
     u = smooth_field(grid, seed=5)
     courant = 0.25
-    staged = step_aa(u, LINEAR.rhs, courant_dt(grid, courant), 0.6, 0)
+    dt = courant_dt(grid, courant)
+    staged = SchemeConfig.aa(0.6).step(u, LINEAR.rhs, dt)
     stencil = aa_linear_stencil(u, courant, 0.6)
     scale = np.abs(stencil.values).max()
     assert np.abs(staged.values - stencil.values).max() <= 1e-13 * scale
@@ -152,8 +156,8 @@ def test_swapped_step_matches_stencil(n, theta, courant):
     # weights (theta, 1, 1 - theta) give
     # u - R d1 u + (1 - theta) R^2 d2 u - theta (1 - theta) R^3 d3 u
     u = smooth_field(Grid1D(n), seed=n)
-    staged = step_theta_icn(
-        u, LINEAR.rhs, courant_dt(u.grid, courant), theta, swapped=True
+    staged = SchemeConfig.swapped_theta_icn(theta).step(
+        u, LINEAR.rhs, courant_dt(u.grid, courant)
     )
     v = u.values
     stencil = (
@@ -245,7 +249,7 @@ def test_mass_conservation_per_step(problem):
     grid = Grid1D(64)
     u = initial_condition(grid)
     dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
-    out = step_icn(u, problem.rhs, dt)
+    out = ICN.step(u, problem.rhs, dt)
     drift = abs(out.values.sum() - u.values.sum())
     assert drift <= 1e-12 * grid.n_cells * np.abs(u.values).max()
 
@@ -259,19 +263,31 @@ def test_integrate_divergence_reports_step_index():
     assert 0 <= info.value.step_index < 20
 
 
+# values of p outside each variant's domain
+OUT_OF_DOMAIN = {
+    SchemeVariant.THETA_ICN: (-0.1, 1.5, np.nan),
+    SchemeVariant.SWAPPED_THETA_ICN: (-0.1, 1.5, np.nan),
+    SchemeVariant.GA: (0.0, -0.5, np.inf, np.nan),
+    SchemeVariant.AA: (-0.1, 1.5, np.nan),
+}
+
+
 def test_scheme_config_validation():
-    with pytest.raises(ValueError):
-        SchemeConfig.theta_icn(1.5)
-    with pytest.raises(ValueError):
-        SchemeConfig.ga(0.0)
-    with pytest.raises(ValueError):
-        SchemeConfig.aa(-0.1)
-    with pytest.raises(ValueError):
-        SchemeConfig(SchemeVariant.ICN, theta=0.5)
-    with pytest.raises(ValueError):
-        SchemeConfig(SchemeVariant.GA)
-    with pytest.raises(ValueError):
-        SchemeConfig(SchemeVariant.GA, theta1=0.6, theta=0.5)
+    # p is given exactly when PARAMETER names one, and lies in its domain;
+    # an error names the parameter as PARAMETER does
+    for variant, name in PARAMETER.items():
+        if name is None:
+            with pytest.raises(ParameterError, match="takes no parameter"):
+                SchemeConfig(variant, 0.5)
+            continue
+        with pytest.raises(ParameterError, match=f"requires {name}") as info:
+            SchemeConfig(variant)
+        assert info.value.parameter == name
+        for p in OUT_OF_DOMAIN[variant]:
+            with pytest.raises(ParameterError) as info:
+                SchemeConfig(variant, p)
+            assert info.value.parameter == name
+        assert SchemeConfig(variant, 0.5).p == 0.5
 
 
 def test_scheme_config_derived_weights():
@@ -287,33 +303,6 @@ def test_scheme_config_labels():
     assert SchemeConfig.swapped_theta_icn(0.6).label() == "swapped(0.6)"
     assert SchemeConfig.ga(0.6).label() == "ga(0.6)"
     assert SchemeConfig.aa(0.6).label() == "aa(0.6)"
-
-
-def test_scheme_config_step_dispatch():
-    grid = Grid1D(16)
-    u = smooth_field(grid, seed=11)
-    dt = courant_dt(grid, 0.2)
-    pairs = [
-        (SchemeConfig.icn(), step_icn(u, LINEAR.rhs, dt)),
-        (
-            SchemeConfig.theta_icn(0.7),
-            step_theta_icn(u, LINEAR.rhs, dt, 0.7),
-        ),
-        (
-            SchemeConfig.swapped_theta_icn(0.7),
-            step_theta_icn(u, LINEAR.rhs, dt, 0.7, swapped=True),
-        ),
-        (SchemeConfig.ga(0.7), step_ga(u, LINEAR.rhs, dt, 0.7)),
-        (SchemeConfig.aa(0.7), step_aa(u, LINEAR.rhs, dt, 0.7, 1)),
-    ]
-    for config, expected in pairs[:-1]:
-        assert np.array_equal(
-            config.step(u, LINEAR.rhs, dt).values, expected.values
-        )
-    config, expected = pairs[-1]
-    assert np.array_equal(
-        config.step(u, LINEAR.rhs, dt, step_index=1).values, expected.values
-    )
 
 
 FIVE_SCHEMES = [
@@ -332,8 +321,8 @@ def test_ga_half_step_equals_icn_bitwise(problem):
     grid = Grid1D(30)
     u = initial_condition(grid)
     dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
-    ga = step_ga(u, problem.rhs, dt, 0.5)
-    assert ga.values.tobytes() == step_icn(u, problem.rhs, dt).values.tobytes()
+    ga = SchemeConfig.ga(0.5).step(u, problem.rhs, dt)
+    assert ga.values.tobytes() == ICN.step(u, problem.rhs, dt).values.tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -494,7 +483,5 @@ def test_order_condition_oracle(scheme, parity):
     step = _kernel(np.array([1.0]), lambda v: -v * v, dt,
                    *scheme.weights(parity))
     fitted = (step[0] - 1.0 / (1.0 + dt)) / (2.0 * dt * dt)
-    name = PARAMETER[scheme.variant]
-    p = getattr(scheme, name) if name else None
-    c2, _ = period_coefficients(scheme.variant, p)[parity]
+    c2, _ = period_coefficients(scheme.variant, scheme.p)[parity]
     assert abs(fitted - (c2 - 0.5)) <= 1e-3
