@@ -10,8 +10,10 @@ library calls unchanged.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -54,8 +56,14 @@ def flag(parameter: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every parser formats its help at the width HelpFormatter would read
+    # from the terminal itself, read here once rather than per argument
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="icnlab",
+        formatter_class=formatter,
         description=(
             "Iterated Crank-Nicolson lab: periodic 1-D test problems, "
             "weighted two-iteration schemes, stability maps, and "
@@ -64,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="single integration to CSV")
+    run = sub.add_parser("run", help="single integration to CSV",
+                         formatter_class=formatter)
     run.add_argument("--problem", required=True, choices=list(PROBLEMS))
     run.add_argument("--scheme", required=True, choices=VARIANTS)
     run.add_argument("--n", required=True, type=int, help="grid size")
@@ -77,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, type=Path)
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="convergence tables per norm")
+    sweep = sub.add_parser("sweep", help="convergence tables per norm",
+                           formatter_class=formatter)
     sweep.add_argument("--problem", required=True, choices=list(PROBLEMS))
     sweep.add_argument("--schemes", default="icn,theta,swapped,ga,aa",
                        help="comma-separated scheme list")
@@ -107,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument(flag(name), dest=name, type=float,
                                  default=None)
 
-    stab = sub.add_parser("stability", help="amplification-factor map")
+    stab = sub.add_parser("stability", help="amplification-factor map",
+                          formatter_class=formatter)
     stab.add_argument("--variant", required=True, choices=VARIANTS)
     stab.add_argument("--theta-min", type=float, default=0.0)
     stab.add_argument("--theta-max", type=float, default=1.0)

@@ -103,29 +103,48 @@ def second_derivative_array(values: np.ndarray, dx: float) -> np.ndarray:
     return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / (dx * dx)
 
 
+# Values per call from which PeriodicShifts copies slices rather than
+# gathering by index: on a 2-vCPU Xeon VM the two cost the same at about
+# 1000 to 1500 values (timings in ROADMAP).
+COPY_FROM = 1024
+
+
 class PeriodicShifts:
-    """Gather index of the periodic neighbours j + 1 and j - 1 along the
-    last axis of values of shape (n,) or, with ``rows``, (rows, n).
+    """The periodic neighbours j + 1 and j - 1 along the last axis of values
+    of shape (n,) or, with ``rows``, (rows, n).
 
     ``gather(values)`` stacks the two neighbours on a new first axis:
     ``[np.roll(values, -1), np.roll(values, 1)]`` for one row, and the same
-    row by row for (rows, n).  The index is built once, so each call is
-    one array gather, and the right-hand sides do the arithmetic of the
-    np.roll forms above on it in the same order, bit for bit.
+    row by row for (rows, n), in a fresh array.  Below COPY_FROM values it
+    gathers through an index built once; from there on it copies four
+    slices.  Both give the same bits, and the right-hand sides do the
+    arithmetic of the np.roll forms above on them in the same order.
     """
 
     def __init__(self, n: int, rows: int | None = None):
+        self.rows = rows
+        if n * (rows or 1) >= COPY_FROM:
+            self.gather = self._copy
+            return
         j = np.arange(n)
         # rows j + 1 and j - 1, wrapped
         index = np.concatenate((j[1:], j[:1], j[-1:], j[:-1])).reshape(2, n)
         if rows is not None:
-            # into the raveled C-ordered rows: one flat gather costs about
-            # a quarter of values[..., index] at (5, 1600)
+            # into the raveled C-ordered rows: one flat gather, cheaper
+            # than values[..., index]
             index = index[:, None, :] + n * np.arange(rows)[:, None]
         self.index = index
-        self.rows = rows
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """(values at j + 1, values at j - 1), shape (2,) + values.shape."""
         flat = values if self.rows is None else values.ravel()
         return flat[self.index]
+
+    def _copy(self, values: np.ndarray) -> np.ndarray:
+        """gather, by four slice copies."""
+        out = np.empty((2,) + values.shape, values.dtype)
+        out[0, ..., :-1] = values[..., 1:]
+        out[0, ..., -1] = values[..., 0]
+        out[1, ..., 1:] = values[..., :-1]
+        out[1, ..., 0] = values[..., -1]
+        return out

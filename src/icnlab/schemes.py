@@ -66,8 +66,9 @@ ArrayOperator = Callable[[np.ndarray], np.ndarray]
 def _kernel(
     u: np.ndarray, f: ArrayOperator, dt: float, w1: float, s: float, w2: float
 ) -> np.ndarray:
-    """One two-iteration step with weights (w1, s, w2) on raw nodal values."""
-    return _step(u, f, *_factors(dt, w1, s, w2))
+    """One two-iteration step with weights (w1, s, w2) on raw nodal values,
+    for any f: it hands _step a copy of what f returns."""
+    return _step(u, lambda v: f(v).copy(), *_factors(dt, w1, s, w2))
 
 
 def _factors(dt: float, w1: float, s: float, w2: float) -> tuple:
@@ -80,21 +81,26 @@ def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
     run.
 
     The statements of the step in the module docstring, evaluated in the
-    same order on temporaries of its own and updated in place, so the bits
-    are those of the plain expressions.  It never writes into what f
-    returns, which may be an array the caller still holds.
+    same order and updated in place, so the bits are those of the plain
+    expressions: x * dt is dt * x in IEEE arithmetic.  f must return a
+    fresh array on every call, which the step owns and scales in place;
+    the array forms of the problems do, and _array_form and _kernel copy
+    what any other f returns.
     """
-    ut = dt * f(u)
+    ut = f(u)
+    ut *= dt
     ut += u
     ut *= w1
     ub = v1 * u
     ub += ut
-    ut = sdt * f(ub)
+    ut = f(ub)
+    ut *= sdt
     ut += u
     ut *= w2
     ub = v2 * u
     ub += ut
-    out = dt * f(ub)
+    out = f(ub)
+    out *= dt
     out += u
     return out
 
@@ -104,14 +110,16 @@ def _array_form(rhs: RhsOperator, grid: Grid1D) -> ArrayOperator:
 
     A bound Problem.rhs becomes the problem's array form, with no Field and
     no finiteness check per call.  Any other Field callable is wrapped and
-    called with a Field on ``grid``.
+    called with a Field on ``grid``, and a copy of the values it returns is
+    handed on, since _step writes into what its f returns and the callable
+    may still hold them.
     """
     problem = getattr(rhs, "__self__", None)
     if isinstance(problem, Problem) and (
         getattr(rhs, "__func__", None) is Problem.rhs
     ):
         return problem.array_rhs(grid)
-    return lambda v: rhs(Field(grid, v)).values
+    return lambda v: rhs(Field(grid, v)).values.copy()
 
 
 class SchemeVariant(str, Enum):
@@ -123,6 +131,14 @@ class SchemeVariant(str, Enum):
 
 
 VARIANTS = [variant.value for variant in SchemeVariant]
+
+
+def as_variant(name: SchemeVariant | str) -> SchemeVariant:
+    """The variant of that name; an unknown one is a ParameterError."""
+    if name not in VARIANTS:
+        raise ParameterError("variant", f"{name!r} is not one of "
+                                        f"{', '.join(VARIANTS)}")
+    return SchemeVariant(name)
 
 
 # The name of the one weight parameter each variant takes (SchemeConfig.p).
@@ -196,8 +212,8 @@ def aa_linear_stencil(u: Field, courant: float, theta: float) -> Field:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """A scheme variant and p, its one weight parameter, validated on
-    creation.
+    """A scheme variant, given as a SchemeVariant or its name, and p, its
+    one weight parameter, validated on creation.
 
     PARAMETER names p per variant, and errors use that name: theta for
     theta and swapped, theta1 for ga, theta_odd for aa; icn takes none, so
@@ -205,10 +221,12 @@ class SchemeConfig:
     exposes theta2 = 1/(4 theta1), an aa config theta_even = 1 - theta_odd.
     """
 
-    variant: SchemeVariant
+    variant: SchemeVariant | str
     p: float | None = None
 
     def __post_init__(self):
+        # frozen: the variant given by name is stored as its SchemeVariant
+        object.__setattr__(self, "variant", as_variant(self.variant))
         name = PARAMETER[self.variant]
         if (self.p is None) != (name is None):
             need = f"requires {name}" if name else "takes no parameter"

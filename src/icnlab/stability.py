@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError
-from .schemes import VARIANTS, SchemeVariant, period_coefficients
+from .schemes import SchemeVariant, as_variant, period_coefficients
 
 # |g| <= 1 + this counts as stable; marginal modes (|g| = 1) are classically
 # stable and the epsilon absorbs rounding.
@@ -93,10 +93,7 @@ def scan_region(
     variant's parameter; aa is judged on its two-step product without
     per-step normalization.  Theta is not limited to the weight's domain:
     the map may extend past the schemes SchemeConfig accepts."""
-    if variant not in VARIANTS:
-        raise ParameterError("variant", f"{variant!r} is not one of "
-                                        f"{', '.join(VARIANTS)}")
-    variant = SchemeVariant(variant)
+    variant = as_variant(variant)
     if resolution < 2:
         raise ParameterError("resolution",
                              "resolution must be at least 2 points per axis")

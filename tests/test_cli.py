@@ -554,10 +554,14 @@ OUTPUTS = {"run": ["--out", "{out}/o.csv"], "sweep": ["--out", "{out}/t.csv"],
            "stability": ["--out", "{out}/m.csv", "--pgm", "{out}/m.pgm"]}
 
 
-def _commands():
-    (commands,) = [action.choices for action in build_parser()._actions
+def _commands_of(parser):
+    (commands,) = [action.choices for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction)]
     return commands
+
+
+def _commands():
+    return _commands_of(build_parser())
 
 
 def _float_flags():
@@ -585,6 +589,18 @@ def test_sweep_t_final_help_reads_the_builders_defaults(monkeypatch):
     assert _sweep_t_final_help() == (
         "default 0.25 for advection, 3 for burgers"
     )
+
+
+@pytest.mark.parametrize("columns", ["50", "200"])
+def test_help_is_what_the_default_formatter_writes(monkeypatch, columns):
+    # the width build_parser reads once is the one each HelpFormatter would
+    # read for itself, on the top parser and on every command
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    for each in (parser, *_commands_of(parser).values()):
+        given = each.format_help()
+        each.formatter_class = argparse.HelpFormatter
+        assert each.format_help() == given, each.prog
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

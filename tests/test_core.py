@@ -83,11 +83,20 @@ def test_second_derivative_scalar_matches_array():
         assert second_derivative(u, j, 0.1) == out[j]
 
 
-@pytest.mark.parametrize("n", [4, 5, 30, 1600])
+def copies(shifts):
+    """Whether ``shifts`` copies slices rather than gathering by index."""
+    return not hasattr(shifts, "index")
+
+
+@pytest.mark.parametrize("n", [4, 5, 30, 204, 205, 1023, 1024, 1600])
 def test_gather_operators_match_roll_forms(n):
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
-    neighbours = PeriodicShifts(n).gather(v)
+    shifts = PeriodicShifts(n)
+    # from 1024 values per call on, the neighbours are slice copies: one
+    # row of 1023 and five of 204 gather, one of 1024 and five of 205 copy
+    assert copies(shifts) == (n >= 1024)
+    neighbours = shifts.gather(v)
     assert neighbours.shape == (2, n)
     plus, minus = neighbours
     assert np.array_equal(plus, np.roll(v, -1))
@@ -98,10 +107,12 @@ def test_gather_operators_match_roll_forms(n):
         (plus - 2.0 * v + minus) / (dx * dx),
         second_derivative_array(v, dx),
     )
-    # (K, N) rows: the flat gather acts on each row as np.roll on axis -1
+    # (K, N) rows: either path acts on each row as np.roll on axis -1
     for rows in (1, 5):
         v = rng.standard_normal((rows, n))
-        neighbours = PeriodicShifts(n, rows).gather(v)
+        shifts = PeriodicShifts(n, rows)
+        assert copies(shifts) == (rows * n >= 1024)
+        neighbours = shifts.gather(v)
         assert neighbours.shape == (2, rows, n)
         assert np.array_equal(neighbours[0], np.roll(v, -1, axis=-1))
         assert np.array_equal(neighbours[1], np.roll(v, 1, axis=-1))

@@ -305,6 +305,22 @@ def test_scheme_config_labels():
     assert SchemeConfig.aa(0.6).label() == "aa(0.6)"
 
 
+def test_scheme_config_takes_a_variant_name():
+    # a name is stored as its SchemeVariant, so the config is the one its
+    # constructor builds; an unknown name is an error naming the variant
+    ga = SchemeConfig("ga", 0.6)
+    assert ga.variant is SchemeVariant.GA
+    assert ga == SchemeConfig.ga(0.6)
+    assert ga.label() == "ga(0.6)"
+    assert ga.theta2 == SchemeConfig.ga(0.6).theta2
+    assert SchemeConfig("icn").label() == "icn"
+    with pytest.raises(ParameterError) as info:
+        SchemeConfig("nope", 0.6)
+    assert info.value.parameter == "variant"
+    assert str(info.value) == ("'nope' is not one of icn, theta, swapped, "
+                               "ga, aa")
+
+
 FIVE_SCHEMES = [
     SchemeConfig.icn(),
     SchemeConfig.theta_icn(0.6),
@@ -395,6 +411,34 @@ def test_kernel_never_writes_into_what_the_rhs_returns(scheme):
     assert one.tobytes() == plain_kernel(u0.values, lambda v: v, dt,
                                          *weights).tobytes()
     assert u0.values.tobytes() == initial_condition(grid).values.tobytes()
+
+
+@pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
+def test_step_owns_a_copy_of_what_a_field_callable_returns(scheme):
+    # a Field callable that returns the same held array on every call: the
+    # step scales a copy of it, so the array stays as it was, through
+    # integrate and through SchemeConfig.step alike
+    grid = Grid1D(30)
+    u0 = initial_condition(grid)
+    held = np.cos(2.0 * np.pi * grid.nodes())
+    kept = held.copy()
+    dt = 0.01
+
+    def rhs(u):
+        return Field(grid, held)
+
+    got = integrate(u0, scheme, rhs, dt, 5)
+    assert held.tobytes() == kept.tobytes()
+    u = u0.values
+    for i in range(5):
+        u = plain_kernel(u, lambda v: kept, dt, *scheme.weights(i))
+    assert got.values.tobytes() == u.tobytes()
+    for parity in (0, 1):
+        one = scheme.step(u0, rhs, dt, step_index=parity)
+        assert held.tobytes() == kept.tobytes()
+        assert one.values.tobytes() == plain_kernel(
+            u0.values, lambda v: kept, dt, *scheme.weights(parity)
+        ).tobytes()
 
 
 def test_finite_check_survives_an_overflowing_sum():
