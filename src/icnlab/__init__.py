@@ -3,7 +3,8 @@
 Weighted two-iteration predictor-corrector steppers (including the
 geometric and alternating weight variants that stay second order away
 from theta = 1/2), von Neumann stability maps, and a convergence-table
-harness with a CLI front end.
+harness with a CLI front end.  A state is a plain array of nodal values
+on the periodic grid [0, 1), so dx = 1/N follows from its length.
 """
 from .analysis import (
     ConvergenceRow,
@@ -19,7 +20,7 @@ from .analysis import (
     run_sweep,
     steps_for,
 )
-from .core import DivergenceError, Field, Grid1D, ParameterError
+from .core import DivergenceError, Grid1D, ParameterError
 from .problems import (
     Problem,
     ProblemKind,
@@ -31,9 +32,8 @@ from .problems import (
 from .schemes import (
     SchemeConfig,
     SchemeVariant,
-    aa_linear_stencil,
-    ga_linear_stencil,
     integrate,
+    linear_stencil,
 )
 from .stability import STABILITY_TOLERANCE, StabilityMap, scan_region
 
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceRow",
     "DivergenceError",
-    "Field",
     "Grid1D",
     "NormTriple",
     "ParameterError",
@@ -55,16 +54,15 @@ __all__ = [
     "StabilityMap",
     "SweepResult",
     "SweepSpec",
-    "aa_linear_stencil",
     "advection_sweep",
     "burgers",
     "burgers_reference",
     "burgers_sweep",
     "error_norms",
-    "ga_linear_stencil",
     "initial_condition",
     "integrate",
     "linear_advection",
+    "linear_stencil",
     "observed_order",
     "run_sweep",
     "scan_region",

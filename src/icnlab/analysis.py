@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Field, Grid1D, ParameterError
+from .core import Grid1D, ParameterError
 from .problems import (
     VISCOSITY,
     Problem,
@@ -39,7 +39,7 @@ from .problems import (
     burgers,
     initial_condition,
 )
-from .schemes import SchemeConfig, _run, _run_row
+from .schemes import SchemeConfig, _run, integrate
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,20 @@ class NormTriple:
 NORM_KEYS = ("l1", "l2", "linf")
 
 
-def error_norms(numerical: Field, reference: Field) -> NormTriple:
-    """L1 = dx sum|e|, L2 = dx sqrt(sum e^2), Linf = max|e|.
+def error_norms(numerical: np.ndarray, reference: np.ndarray) -> NormTriple:
+    """L1 = dx sum|e|, L2 = dx sqrt(sum e^2), Linf = max|e|, for two states
+    of N values, dx = 1/N.
 
     Note the L2 definition carries an extra sqrt(dx) relative to the usual
     discrete L2 norm, which is why second-order schemes show L2 orders of
     2.5 in the refinement tables.
     """
-    if numerical.grid != reference.grid:
-        raise ValueError("grid mismatch")
+    if np.shape(numerical) != np.shape(reference):
+        raise ValueError(f"grid mismatch: shapes {np.shape(numerical)} and "
+                         f"{np.shape(reference)}")
     # the mean over one state: 0 + x and x / 1 are exact
-    norms = _MeanNorms(numerical.grid.dx, 1)
-    norms.add((numerical.values - reference.values)[None, None])
+    norms = _MeanNorms(Grid1D(len(numerical)).dx, 1)
+    norms.add(np.subtract(numerical, reference)[None, None])
     return norms.result(0)
 
 
@@ -316,8 +318,8 @@ def _integrate_reference(
 ) -> np.ndarray:
     """ICN states every ``cadence`` of ``steps`` fine steps, one per row.
 
-    The loop runs on raw arrays and copies only the states it keeps; a step
-    that is not finite raises DivergenceError with its index.
+    The observer copies only the states it keeps; a step that is not
+    finite raises DivergenceError with its index.
     """
     states = np.empty((steps // cadence, grid.n_cells))
 
@@ -325,10 +327,8 @@ def _integrate_reference(
         if (i + 1) % cadence == 0:
             states[i // cadence] = u
 
-    _run_row(
-        initial_condition(grid).values, SchemeConfig.icn(),
-        burgers(viscosity).array_rhs(grid), dt_fine, range(steps), keep,
-    )
+    integrate(initial_condition(grid), SchemeConfig.icn(),
+              burgers(viscosity).rhs, dt_fine, steps, keep)
     return states
 
 
@@ -451,7 +451,7 @@ def burgers_reference(
     dt_fine: float,
     t_final: float,
     viscosity: float = VISCOSITY,
-) -> Field:
+) -> np.ndarray:
     """Fine-step ICN solution used as the Burgers 'exact' state at t_final.
 
     A memoized trajectory serves its last row: at every cadence, and in
@@ -470,7 +470,7 @@ def burgers_reference(
     else:
         steps = steps_for(t_final, dt_fine)
         (final,) = _integrate_reference(grid, dt_fine, steps, viscosity, steps)
-    return Field(grid, final)
+    return final
 
 
 def _resolution_cells(
@@ -488,7 +488,7 @@ def _resolution_cells(
     dt = spec.dt(resolution)
     steps = steps_for(spec.t_final, dt)
     rows = len(spec.schemes)
-    u0 = np.tile(initial_condition(grid).values, (rows, 1))
+    u0 = np.tile(initial_condition(grid), (rows, 1))
     f = spec.problem.array_rhs(grid, rows)
     mean = _MeanNorms(grid.dx, rows)
     if spec.is_burgers:

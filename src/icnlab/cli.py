@@ -199,16 +199,14 @@ def cmd_run(args) -> int:
 
     # the reference first: its fine step may not reach t_final either
     if problem.has_exact:
-        reference = problem.exact_field(grid, args.t_final)
+        reference = problem.exact_solution(grid.nodes(), args.t_final)
     else:
         dt_fine = analysis.burgers_dt(args.n) / analysis.REFERENCE_DIVISOR
         reference = analysis.burgers_reference(
             args.n, dt_fine, args.t_final, problem.viscosity
         )
     final = integrate(initial_condition(grid), scheme, problem.rhs, dt, steps)
-    output.write_text(
-        args.out, output.solution_csv(grid, final.values, reference.values)
-    )
+    output.write_text(args.out, output.solution_csv(grid, final, reference))
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
-"""Uniform periodic 1-D grid, nodal fields, and centered difference operators.
+"""Uniform periodic 1-D grid and centered difference operators.
 
-Everything downstream (problem right-hand sides, time steppers, stencil
-oracles) is built from the periodic operators defined here.  A value from
-outside that is out of its domain raises ParameterError, which names it.
+A state is a plain array of nodal values on the grid: u[j] lives at node
+j, and the grid follows from its length.  Everything downstream (problem
+right-hand sides, time steppers, stencil oracles) is built from the
+periodic operators defined here.  A value from outside that is out of its
+domain raises ParameterError, which names it.
 """
 from __future__ import annotations
 
@@ -53,30 +55,7 @@ class Grid1D:
         return np.arange(self.n_cells) * self.dx
 
 
-@dataclass(eq=False)
-class Field:
-    """Real nodal values bound to a grid; values[j] lives at node j."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_cells,):
-            raise ValueError(
-                f"expected {self.grid.n_cells} nodal values, "
-                f"got shape {self.values.shape}"
-            )
-
-    def with_values(self, values) -> "Field":
-        """Same grid, new nodal values."""
-        return Field(self.grid, values)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-# The whole-field operators, with np.roll as the periodic wrap. They stay as
+# The whole-state operators, with np.roll as the periodic wrap. They stay as
 # the plain statement of the operators: the closed-form stencils and the
 # tests use them as oracles. The right-hand sides use the gather forms in
 # PeriodicShifts, which give the same numbers without np.roll's per-call

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DivergenceError, Field, Grid1D, PeriodicShifts
+from .core import DivergenceError, Grid1D, PeriodicShifts
 
 
 class ProblemKind(str, Enum):
@@ -46,12 +46,12 @@ class Problem:
     def has_exact(self) -> bool:
         return self.kind is not ProblemKind.BURGERS
 
-    def rhs(self, u: Field) -> Field:
-        """Evaluate L(u) nodewise with centered differences."""
-        v = u.values
-        if not np.isfinite(v).all():
+    def rhs(self, u: np.ndarray) -> np.ndarray:
+        """Evaluate L(u) nodewise with centered differences, on the grid of
+        u's length; a state that is not finite raises DivergenceError."""
+        if not np.isfinite(u).all():
             raise DivergenceError("non-finite state")
-        return u.with_values(self.array_rhs(u.grid)(v))
+        return self.array_rhs(Grid1D(u.shape[-1]))(u)
 
     def array_rhs(
         self, grid: Grid1D, rows: int | None = None
@@ -122,10 +122,6 @@ class Problem:
             return s
         return s / (1.0 + t * s)
 
-    def exact_field(self, grid: Grid1D, t: float) -> Field:
-        """Exact solution sampled at the grid nodes."""
-        return Field(grid, self.exact_solution(grid.nodes(), t))
-
 
 def linear_advection(speed: float = 1.0) -> Problem:
     return Problem(ProblemKind.LINEAR_ADVECTION, advection_speed=speed)
@@ -143,6 +139,6 @@ def burgers(viscosity: float = VISCOSITY) -> Problem:
     return Problem(ProblemKind.BURGERS, viscosity=viscosity)
 
 
-def initial_condition(grid: Grid1D) -> Field:
+def initial_condition(grid: Grid1D) -> np.ndarray:
     """sin^2(pi x) sampled at the nodes; shared by all three problems."""
-    return Field(grid, np.sin(np.pi * grid.nodes()) ** 2)
+    return np.sin(np.pi * grid.nodes()) ** 2

@@ -35,9 +35,9 @@ theta > 1/2 (the stability module docstring).
 
 One loop, ``_run``, advances every step; its docstring says how the rows
 of a batch each take their own scheme and how divergence is recorded.
-``_run_row`` is its one-row case on raw values, which the Burgers reference
-drives, and ``integrate`` and SchemeConfig.step are that case on Fields;
-all of them raise DivergenceError with that step.
+``_run_row`` is its one-row case, which ``integrate`` and SchemeConfig.step
+call: a state is a plain array of N nodal values, and a step that is not
+finite raises DivergenceError with that step.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ import numpy as np
 
 from .core import (
     DivergenceError,
-    Field,
     Grid1D,
     ParameterError,
     delta1_array,
@@ -59,15 +58,14 @@ from .core import (
 )
 from .problems import Problem
 
-RhsOperator = Callable[[Field], Field]
 ArrayOperator = Callable[[np.ndarray], np.ndarray]
 
 
 def _kernel(
     u: np.ndarray, f: ArrayOperator, dt: float, w1: float, s: float, w2: float
 ) -> np.ndarray:
-    """One two-iteration step with weights (w1, s, w2) on raw nodal values,
-    for any f: it hands _step a copy of what f returns."""
+    """One two-iteration step with weights (w1, s, w2), for any f: it hands
+    _step a copy of what f returns (see _step)."""
     return _step(u, lambda v: f(v).copy(), *_factors(dt, w1, s, w2))
 
 
@@ -83,9 +81,10 @@ def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
     The statements of the step in the module docstring, evaluated in the
     same order and updated in place, so the bits are those of the plain
     expressions: x * dt is dt * x in IEEE arithmetic.  f must return a
-    fresh array on every call, which the step owns and scales in place;
-    the array forms of the problems do, and _array_form and _kernel copy
-    what any other f returns.
+    fresh array on every call, which the step owns and scales in place.
+    This is the one statement of that rule: the array forms of the problems
+    return fresh arrays, and _array_form and _kernel copy what any other f
+    returns.
     """
     ut = f(u)
     ut *= dt
@@ -105,21 +104,18 @@ def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
     return out
 
 
-def _array_form(rhs: RhsOperator, grid: Grid1D) -> ArrayOperator:
-    """``rhs`` as a function of raw nodal values on ``grid``.
+def _array_form(f: ArrayOperator, n: int) -> ArrayOperator:
+    """``f`` as _step's f on states of n values (see _step).
 
-    A bound Problem.rhs becomes the problem's array form, with no Field and
-    no finiteness check per call.  Any other Field callable is wrapped and
-    called with a Field on ``grid``, and a copy of the values it returns is
-    handed on, since _step writes into what its f returns and the callable
-    may still hold them.
+    A bound Problem.rhs becomes the problem's array form, with no
+    finiteness check per call.  What any other f returns is copied.
     """
-    problem = getattr(rhs, "__self__", None)
+    problem = getattr(f, "__self__", None)
     if isinstance(problem, Problem) and (
-        getattr(rhs, "__func__", None) is Problem.rhs
+        getattr(f, "__func__", None) is Problem.rhs
     ):
-        return problem.array_rhs(grid)
-    return lambda v: rhs(Field(grid, v)).values.copy()
+        return problem.array_rhs(Grid1D(n))
+    return lambda v: f(v).copy()
 
 
 class SchemeVariant(str, Enum):
@@ -179,35 +175,18 @@ def period_coefficients(variant: SchemeVariant, p=None) -> tuple:
 
 
 def linear_stencil(
-    u: Field, courant: float, w1: float, s: float, w2: float
-) -> Field:
+    u: np.ndarray, courant: float, w1: float, s: float, w2: float
+) -> np.ndarray:
     """The step of weights (w1, s, w2) on u_t + a u_x = 0 in closed form,
-    R = a dt / (2 dx): u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u."""
-    v = u.values
+    R = a dt / (2 dx): u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u.  A
+    variant's step is linear_stencil(u, R, *scheme.weights(i))."""
     c2, c3 = coefficients(w1, s, w2)
-    out = (
-        v
-        - courant * delta1_array(v)
-        + c2 * courant * courant * delta2_array(v)
-        - c3 * courant * courant * courant * delta3_array(v)
+    return (
+        u
+        - courant * delta1_array(u)
+        + c2 * courant * courant * delta2_array(u)
+        - c3 * courant * courant * courant * delta3_array(u)
     )
-    return u.with_values(out)
-
-
-def ga_linear_stencil(
-    u: Field, courant: float, theta1: float, theta2: float
-) -> Field:
-    """The ga step with its last weight set to theta2, as a stencil; equal
-    to the ga step on linear advection when theta2 = 1/(4 theta1)."""
-    if not theta2 > 0.0:
-        raise ValueError("stencil weights must be positive")
-    w1, s, _ = SchemeConfig.ga(theta1).weights()
-    return linear_stencil(u, courant, w1, s, theta2)
-
-
-def aa_linear_stencil(u: Field, courant: float, theta: float) -> Field:
-    """One aa step of weight theta as a stencil."""
-    return linear_stencil(u, courant, *SchemeConfig.aa(theta).weights())
 
 
 @dataclass(frozen=True)
@@ -283,10 +262,11 @@ class SchemeConfig:
         return period[step_index % len(period)]
 
     def step(
-        self, u: Field, rhs: RhsOperator, dt: float, step_index: int = 0
-    ) -> Field:
+        self, u: np.ndarray, rhs: ArrayOperator, dt: float,
+        step_index: int = 0,
+    ) -> np.ndarray:
         """One step from ``u``; step_index sets the aa parity."""
-        return _run_one(u, self, rhs, dt, range(step_index, step_index + 1))
+        return _run_row(u, self, rhs, dt, range(step_index, step_index + 1))
 
 
 def _run(
@@ -330,7 +310,7 @@ def _run(
             try:
                 u = _step(u, f, *by_parity[i % 2])
             except DivergenceError:
-                # raised by a Field callable that checks its input
+                # raised by an f that checks its input, as Problem.rhs does
                 diverged_at[diverged_at < 0] = i
                 break
             # a non-finite intermediate always reaches the step's output,
@@ -356,8 +336,12 @@ def _run_row(
     steps: range,
     observer: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """_run on one row of raw values; a step that is not finite raises
-    DivergenceError."""
+    """_run on one state of N values, with f taken through _array_form; a
+    step that is not finite raises DivergenceError."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"a state is one row of values, got shape {u.shape}")
+    f = _array_form(f, len(u))
     u, diverged_at = _run(u, (scheme,), f, dt, steps, observer)
     step = int(diverged_at)
     if step >= 0:
@@ -365,32 +349,14 @@ def _run_row(
     return u
 
 
-def _run_one(
-    u0: Field,
-    scheme: SchemeConfig,
-    rhs: RhsOperator,
-    dt: float,
-    steps: range,
-    observer: Callable[[int, Field], None] | None = None,
-) -> Field:
-    """_run_row on a Field, with a Field callable and observer."""
-    grid = u0.grid
-    watch = None
-    if observer is not None:
-        def watch(i: int, u: np.ndarray) -> None:
-            observer(i, Field(grid, u))
-    f = _array_form(rhs, grid)
-    return u0.with_values(_run_row(u0.values, scheme, f, dt, steps, watch))
-
-
 def integrate(
-    u0: Field,
+    u0: np.ndarray,
     scheme: SchemeConfig,
-    rhs: RhsOperator,
+    rhs: ArrayOperator,
     dt: float,
     n_steps: int,
-    observer: Callable[[int, Field], None] | None = None,
-) -> Field:
+    observer: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
     """Apply ``scheme`` n_steps times from u0 and return the final state.
 
     This is the one-row case of the batched loop _run.
@@ -403,5 +369,4 @@ def integrate(
         raise ParameterError("dt", "dt must be positive")
     if n_steps < 0:
         raise ParameterError("n_steps", "n_steps must be non-negative")
-    return _run_one(u0, scheme, rhs, dt, range(n_steps), observer)
-
+    return _run_row(u0, scheme, rhs, dt, range(n_steps), observer)

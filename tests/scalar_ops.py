@@ -1,10 +1,10 @@
 """Node-by-node forms of the centered difference operators, with an
-explicit periodic wrap: the oracles that the whole-field operators of
+explicit periodic wrap: the oracles that the whole-state operators of
 ``icnlab.core`` are checked against.
 """
 from __future__ import annotations
 
-from icnlab.core import Field
+import numpy as np
 
 
 def wrap_index(j: int, n: int) -> int:
@@ -12,24 +12,21 @@ def wrap_index(j: int, n: int) -> int:
     return j % n
 
 
-def delta1(u: Field, j: int) -> float:
-    """u[j+1] - u[j-1] with periodic wrap."""
-    v = u.values
-    n = u.grid.n_cells
+def delta1(v: np.ndarray, j: int) -> float:
+    """v[j+1] - v[j-1] with periodic wrap."""
+    n = len(v)
     return v[wrap_index(j + 1, n)] - v[wrap_index(j - 1, n)]
 
 
-def delta2(u: Field, j: int) -> float:
-    """u[j+2] - 2 u[j] + u[j-2] with periodic wrap."""
-    v = u.values
-    n = u.grid.n_cells
+def delta2(v: np.ndarray, j: int) -> float:
+    """v[j+2] - 2 v[j] + v[j-2] with periodic wrap."""
+    n = len(v)
     return v[wrap_index(j + 2, n)] - 2.0 * v[j] + v[wrap_index(j - 2, n)]
 
 
-def delta3(u: Field, j: int) -> float:
-    """u[j+3] - 3 u[j+1] + 3 u[j-1] - u[j-3] with periodic wrap."""
-    v = u.values
-    n = u.grid.n_cells
+def delta3(v: np.ndarray, j: int) -> float:
+    """v[j+3] - 3 v[j+1] + 3 v[j-1] - v[j-3] with periodic wrap."""
+    n = len(v)
     return (
         v[wrap_index(j + 3, n)]
         - 3.0 * v[wrap_index(j + 1, n)]
@@ -38,10 +35,9 @@ def delta3(u: Field, j: int) -> float:
     )
 
 
-def second_derivative(u: Field, j: int, dx: float) -> float:
+def second_derivative(v: np.ndarray, j: int, dx: float) -> float:
     """Centered three-point u_xx estimate at node j."""
-    v = u.values
-    n = u.grid.n_cells
+    n = len(v)
     return (
         v[wrap_index(j + 1, n)] - 2.0 * v[j] + v[wrap_index(j - 1, n)]
     ) / (dx * dx)

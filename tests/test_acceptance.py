@@ -20,7 +20,7 @@ from icnlab.analysis import (
     run_sweep,
     steps_for,
 )
-from icnlab.core import Field, Grid1D
+from icnlab.core import Grid1D
 from icnlab.problems import (
     burgers,
     initial_condition,
@@ -30,9 +30,8 @@ from icnlab.problems import (
 from icnlab.schemes import (
     SchemeConfig,
     SchemeVariant,
-    aa_linear_stencil,
-    ga_linear_stencil,
     integrate,
+    linear_stencil,
 )
 from icnlab.stability import period_factor, scan_region
 
@@ -232,33 +231,24 @@ def test_criterion_6_oracle_equivalence():
         grid = Grid1D(n)
         rng = np.random.default_rng(n)
         x = grid.nodes()
-        values = np.full(n, 0.5)
+        u = np.full(n, 0.5)
         for k in (1, 2, 3):
             a, b = rng.uniform(-0.3, 0.3, size=2)
-            values += a * np.cos(2 * np.pi * k * x)
-            values += b * np.sin(2 * np.pi * k * x)
-        u = Field(grid, values)
+            u += a * np.cos(2 * np.pi * k * x)
+            u += b * np.sin(2 * np.pi * k * x)
         for theta in (0.3, 0.5, 0.6, 0.9):
             for courant in (0.1, 0.25, 0.45):
                 dt = 2.0 * courant * grid.dx
-                staged = SchemeConfig.ga(theta).step(u, problem.rhs, dt)
-                stencil = ga_linear_stencil(
-                    u, courant, theta, 1.0 / (4.0 * theta)
-                )
-                gap = np.abs(staged.values - stencil.values).max()
-                scale = np.abs(stencil.values).max()
-                if gap > 1e-13 * scale:
-                    failures.append(
-                        f"ga n={n} theta={theta} R={courant}: {gap:.2e}"
-                    )
-                staged = SchemeConfig.aa(theta).step(u, problem.rhs, dt)
-                stencil = aa_linear_stencil(u, courant, theta)
-                gap = np.abs(staged.values - stencil.values).max()
-                scale = np.abs(stencil.values).max()
-                if gap > 1e-13 * scale:
-                    failures.append(
-                        f"aa n={n} theta={theta} R={courant}: {gap:.2e}"
-                    )
+                for scheme in (SchemeConfig.ga(theta), SchemeConfig.aa(theta)):
+                    staged = scheme.step(u, problem.rhs, dt)
+                    stencil = linear_stencil(u, courant, *scheme.weights())
+                    gap = np.abs(staged - stencil).max()
+                    scale = np.abs(stencil).max()
+                    if gap > 1e-13 * scale:
+                        failures.append(
+                            f"{scheme.variant.value} n={n} theta={theta} "
+                            f"R={courant}: {gap:.2e}"
+                        )
     report(6, "staged ga/aa steppers match the closed-form stencils",
            failures)
 
@@ -270,7 +260,7 @@ def test_criterion_7_reduction_identities():
     dt = 0.5 * grid.dx
     u0 = initial_condition(grid)
     baseline = integrate(u0, SchemeConfig.icn(), problem.rhs, dt, 100)
-    scale = np.abs(baseline.values).max()
+    scale = np.abs(baseline).max()
     reduced = {
         "ga(0.5)": SchemeConfig.ga(0.5),
         "aa(0.5)": SchemeConfig.aa(0.5),
@@ -278,7 +268,7 @@ def test_criterion_7_reduction_identities():
     }
     for name, scheme in reduced.items():
         final = integrate(u0, scheme, problem.rhs, dt, 100)
-        gap = np.abs(final.values - baseline.values).max()
+        gap = np.abs(final - baseline).max()
         if gap > 1e-12 * scale:
             failures.append(f"{name} vs icn after 100 steps: {gap:.2e}")
     report(7, "half-weight ga/aa/theta trajectories match icn", failures)
@@ -292,7 +282,7 @@ def test_criterion_8_conservation():
     for scheme in ALL_SCHEMES:
         u0 = initial_condition(grid)
         final = integrate(u0, scheme, linear.rhs, dt, 400)
-        drift = abs(final.values.sum() - u0.values.sum())
+        drift = abs(final.sum() - u0.sum())
         if drift > 1e-10:
             failures.append(f"linear {scheme.label()}: drift {drift:.2e}")
     viscous = burgers(0.01)
@@ -301,7 +291,7 @@ def test_criterion_8_conservation():
     for scheme in ALL_SCHEMES:
         u0 = initial_condition(grid)
         final = integrate(u0, scheme, viscous.rhs, dt, 1800)
-        drift = abs(final.values.sum() - u0.values.sum())
+        drift = abs(final.sum() - u0.sum())
         if drift > 1e-10:
             failures.append(f"burgers {scheme.label()}: drift {drift:.2e}")
     report(8, "total mass drift below 1e-10 over full runs", failures)
@@ -380,7 +370,7 @@ def snapshot_error(spec, scheme, n):
         initial_condition(grid), scheme, spec.problem.rhs, dt,
         steps_for(spec.t_final, dt),
     )
-    return final.values - spec.problem.exact_field(grid, spec.t_final).values
+    return final - spec.problem.exact_solution(grid.nodes(), spec.t_final)
 
 
 def linear_error_amplitude(spec, n, w1, s_w2):

@@ -16,7 +16,7 @@ from icnlab.analysis import (
     run_sweep,
     steps_for,
 )
-from icnlab.core import DivergenceError, Field, Grid1D
+from icnlab.core import DivergenceError, Grid1D
 from icnlab.problems import (
     burgers,
     initial_condition,
@@ -35,9 +35,8 @@ ICN = SchemeConfig.icn()
 
 
 def test_error_norms_hand_example():
-    grid = Grid1D(4)
-    reference = Field(grid, [1.0, 1.0, 1.0, 1.0])
-    numerical = Field(grid, [1.3, 1.4, 1.0, 1.0])
+    reference = np.array([1.0, 1.0, 1.0, 1.0])
+    numerical = np.array([1.3, 1.4, 1.0, 1.0])
     norms = error_norms(numerical, reference)
     assert norms.l1 == pytest.approx(0.175, abs=1e-15)
     assert norms.l2 == pytest.approx(0.125, abs=1e-15)
@@ -53,21 +52,16 @@ def test_error_norms_identical_fields():
 
 def test_error_norms_grid_mismatch():
     with pytest.raises(ValueError, match="grid mismatch"):
-        error_norms(
-            Field(Grid1D(4), np.zeros(4)), Field(Grid1D(8), np.zeros(8))
-        )
+        error_norms(np.zeros(4), np.zeros(8))
 
 
 def test_error_norms_scaling():
     rng = np.random.default_rng(1)
-    grid = Grid1D(32)
-    u = Field(grid, rng.standard_normal(32))
-    v = Field(grid, rng.standard_normal(32))
+    u = rng.standard_normal(32)
+    v = rng.standard_normal(32)
     base = error_norms(u, v)
     alpha = -3.7
-    scaled = error_norms(
-        u.with_values(alpha * u.values), v.with_values(alpha * v.values)
-    )
+    scaled = error_norms(alpha * u, alpha * v)
     for key in ("l1", "l2", "linf"):
         assert scaled.get(key) == pytest.approx(
             abs(alpha) * base.get(key), rel=1e-14
@@ -76,9 +70,8 @@ def test_error_norms_scaling():
 
 def test_error_norms_max_dominates_mean():
     rng = np.random.default_rng(2)
-    grid = Grid1D(50)
-    u = Field(grid, rng.standard_normal(50))
-    v = Field(grid, rng.standard_normal(50))
+    u = rng.standard_normal(50)
+    v = rng.standard_normal(50)
     norms = error_norms(u, v)
     # on the unit domain l1 equals the mean absolute error
     assert norms.linf >= norms.l1
@@ -122,17 +115,15 @@ def test_steps_for():
 
 def test_burgers_reference_time_zero():
     reference = burgers_reference(30, 1e-3, 0.0)
-    assert np.array_equal(
-        reference.values, initial_condition(Grid1D(30)).values
-    )
+    assert np.array_equal(reference, initial_condition(Grid1D(30)))
 
 
 def test_burgers_reference_maximum_principle():
     grid = Grid1D(30)
     delta = 0.5 * grid.dx**2
     reference = burgers_reference(30, delta / 32.0, 0.2)
-    assert reference.values.min() >= 0.0
-    assert reference.values.max() <= 1.0
+    assert reference.min() >= 0.0
+    assert reference.max() <= 1.0
 
 
 def test_burgers_reference_self_convergence():
@@ -141,7 +132,7 @@ def test_burgers_reference_self_convergence():
     delta = 0.5 * grid.dx**2
     r32 = burgers_reference(30, delta / 32.0, 1.0)
     r64 = burgers_reference(30, delta / 64.0, 1.0)
-    gap = np.abs(r32.values - r64.values).max()
+    gap = np.abs(r32 - r64).max()
     assert gap <= 2e-9
 
 
@@ -218,7 +209,7 @@ def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path,
     assert fresh.tobytes() == states.tobytes()
     analysis._reference_memo.clear()
     alone = burgers_reference(30, dt_fine, 0.015625)
-    assert alone.values.tobytes() == final.tobytes()
+    assert alone.tobytes() == final.tobytes()
     assert analysis._reference_memo == {}
 
 
@@ -234,7 +225,7 @@ def test_reference_memo_serves_multiples_of_its_cadence(monkeypatch):
     assert calls == []
     final = burgers_reference(30, dt_fine, 0.02)
     assert calls == []
-    assert final.values.tobytes() == strided[-1].tobytes()
+    assert final.tobytes() == strided[-1].tobytes()
     analysis._reference_memo.clear()
     fresh = analysis._reference_trajectory(*args, 16)
     assert strided.shape == fresh.shape == (1152 // 16, 30)
@@ -394,13 +385,13 @@ def test_batched_rows_match_integrate(schemes, problem, n, n_steps):
     u0 = initial_condition(grid)
     rows = len(schemes)
     final, diverged_at = _run(
-        np.tile(u0.values, (rows, 1)), schemes,
+        np.tile(u0, (rows, 1)), schemes,
         problem.array_rhs(grid, rows), dt, range(n_steps),
     )
     assert diverged_at.tolist() == [-1] * rows
     for k, scheme in enumerate(schemes):
         alone = integrate(u0, scheme, problem.rhs, dt, n_steps)
-        assert final[k].tobytes() == alone.values.tobytes(), scheme.label()
+        assert final[k].tobytes() == alone.tobytes(), scheme.label()
 
 
 def per_cell(spec, scheme, resolution):
@@ -429,7 +420,7 @@ def per_cell(spec, scheme, resolution):
         stride = sample_lcm // resolution
 
         def observer(i, state):
-            sums[:] += norms(state.values - reference[(i + 1) * stride - 1])
+            sums[:] += norms(state - reference[(i + 1) * stride - 1])
     try:
         final = integrate(initial_condition(grid), scheme, spec.problem.rhs,
                           dt, steps, observer)
@@ -439,7 +430,7 @@ def per_cell(spec, scheme, resolution):
         return tuple(float(v / steps) for v in sums), None
     # one snapshot against the exact solution
     exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
-    return tuple(float(v) for v in norms(final.values - exact)), None
+    return tuple(float(v) for v in norms(final - exact)), None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from icnlab.core import (
-    Field,
     Grid1D,
     PeriodicShifts,
     delta1_array,
@@ -13,9 +12,8 @@ from icnlab.core import (
 from scalar_ops import delta1, delta2, delta3, second_derivative, wrap_index
 
 
-def field(values):
-    values = np.asarray(values, dtype=float)
-    return Field(Grid1D(len(values)), values)
+def state(values):
+    return np.asarray(values, dtype=float)
 
 
 @pytest.mark.parametrize("j,n,expected", [(5, 4, 1), (-1, 4, 3), (0, 4, 0)])
@@ -32,30 +30,30 @@ def test_wrap_index_total():
 
 
 def test_delta1_examples():
-    assert delta1(field([1, 2, 3, 4]), 0) == -2.0
-    assert delta1(field([7, 7, 7, 7]), 2) == 0.0
-    assert delta1(field([0, 1, 0, -1]), 0) == 2.0
+    assert delta1(state([1, 2, 3, 4]), 0) == -2.0
+    assert delta1(state([7, 7, 7, 7]), 2) == 0.0
+    assert delta1(state([0, 1, 0, -1]), 0) == 2.0
 
 
 def test_delta2_examples():
-    assert delta2(field([3, 3, 3, 3]), 1) == 0.0
-    assert delta2(field([0, 1, 0, -1]), 0) == 0.0
-    assert delta2(field([1, 0, 0, 0, 0, 0]), 0) == -2.0
+    assert delta2(state([3, 3, 3, 3]), 1) == 0.0
+    assert delta2(state([0, 1, 0, -1]), 0) == 0.0
+    assert delta2(state([1, 0, 0, 0, 0, 0]), 0) == -2.0
 
 
 def test_delta3_examples():
-    assert delta3(field([2, 2, 2, 2]), 3) == 0.0
-    assert delta3(field([0, 1, 0, -1]), 0) == -8.0
+    assert delta3(state([2, 2, 2, 2]), 3) == 0.0
+    assert delta3(state([0, 1, 0, -1]), 0) == -8.0
     # affine data on a non-wrapping interior stencil is annihilated
-    assert delta3(field(np.arange(8.0)), 4) == 0.0
+    assert delta3(state(np.arange(8.0)), 4) == 0.0
 
 
 def test_second_derivative_examples():
-    assert second_derivative(field([5, 5, 5, 5]), 1, 0.25) == 0.0
-    osc = field([0, 1, 0, -1, 0, 1, 0, -1])
+    assert second_derivative(state([5, 5, 5, 5]), 1, 0.25) == 0.0
+    osc = state([0, 1, 0, -1, 0, 1, 0, -1])
     assert second_derivative(osc, 1, 1.0 / 8.0) == -128.0
     grid = Grid1D(8)
-    quad = Field(grid, grid.nodes() ** 2)
+    quad = grid.nodes() ** 2
     assert second_derivative(quad, 4, grid.dx) == 2.0
 
 
@@ -69,16 +67,16 @@ def test_second_derivative_examples():
 )
 def test_scalar_matches_array(scalar, vector):
     rng = np.random.default_rng(7)
-    u = field(rng.standard_normal(16))
-    out = vector(u.values)
+    u = state(rng.standard_normal(16))
+    out = vector(u)
     for j in range(16):
         assert scalar(u, j) == out[j]
 
 
 def test_second_derivative_scalar_matches_array():
     rng = np.random.default_rng(8)
-    u = field(rng.standard_normal(12))
-    out = second_derivative_array(u.values, 0.1)
+    u = state(rng.standard_normal(12))
+    out = second_derivative_array(u, 0.1)
     for j in range(12):
         assert second_derivative(u, j, 0.1) == out[j]
 
@@ -155,14 +153,3 @@ def test_grid_validation():
     grid = Grid1D(4)
     assert grid.dx == 0.25
     assert np.array_equal(grid.nodes(), [0.0, 0.25, 0.5, 0.75])
-
-
-def test_field_validation():
-    grid = Grid1D(4)
-    with pytest.raises(ValueError):
-        Field(grid, [1.0, 2.0])
-    f = Field(grid, [1, 2, 3, 4])
-    assert f.values.dtype == np.float64
-    g = f.with_values(f.values * 2)
-    assert g.grid is grid
-    assert np.array_equal(g.values, [2, 4, 6, 8])

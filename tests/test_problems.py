@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from icnlab.core import (
     DivergenceError,
-    Field,
     Grid1D,
     delta1_array,
     second_derivative_array,
@@ -21,34 +20,29 @@ from icnlab.problems import (
 
 
 def test_linear_rhs_constant_field():
-    grid = Grid1D(8)
-    out = linear_advection().rhs(Field(grid, np.full(8, 3.0)))
-    assert np.array_equal(out.values, np.zeros(8))
+    out = linear_advection().rhs(np.full(8, 3.0))
+    assert np.array_equal(out, np.zeros(8))
 
 
 def test_linear_rhs_hand_value():
-    grid = Grid1D(4)
-    u = Field(grid, [0.0, 1.0, 0.0, -1.0])
+    u = np.array([0.0, 1.0, 0.0, -1.0])
     out = linear_advection().rhs(u)
-    assert out.values[0] == -4.0
+    assert out[0] == -4.0
 
 
 def test_semilinear_rhs_constant_field():
-    grid = Grid1D(8)
     c = 0.7
-    out = semilinear_advection().rhs(Field(grid, np.full(8, c)))
-    assert np.allclose(out.values, -c * c, rtol=0, atol=1e-15)
+    out = semilinear_advection().rhs(np.full(8, c))
+    assert np.allclose(out, -c * c, rtol=0, atol=1e-15)
 
 
 def test_burgers_rhs_constant_field():
-    grid = Grid1D(8)
-    out = burgers(0.01).rhs(Field(grid, np.full(8, 0.4)))
-    assert np.array_equal(out.values, np.zeros(8))
+    out = burgers(0.01).rhs(np.full(8, 0.4))
+    assert np.array_equal(out, np.zeros(8))
 
 
 def test_rhs_rejects_non_finite_state():
-    grid = Grid1D(4)
-    bad = Field(grid, [0.0, np.inf, 0.0, 0.0])
+    bad = np.array([0.0, np.inf, 0.0, 0.0])
     with pytest.raises(DivergenceError, match="non-finite state"):
         linear_advection().rhs(bad)
 
@@ -77,25 +71,24 @@ def test_exact_solution_periodicity():
 def test_linear_exact_full_period():
     grid = Grid1D(64)
     u0 = initial_condition(grid)
-    u1 = linear_advection().exact_field(grid, 1.0)
-    assert np.allclose(u0.values, u1.values, rtol=0, atol=1e-15)
+    u1 = linear_advection().exact_solution(grid.nodes(), 1.0)
+    assert np.allclose(u0, u1, rtol=0, atol=1e-15)
 
 
 def test_initial_condition():
     assert np.allclose(
-        initial_condition(Grid1D(4)).values, [0.0, 0.5, 1.0, 0.5], atol=1e-16
+        initial_condition(Grid1D(4)), [0.0, 0.5, 1.0, 0.5], atol=1e-16
     )
-    values = initial_condition(Grid1D(33)).values
+    values = initial_condition(Grid1D(33))
     assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 def test_rhs_translation_equivariance():
     rng = np.random.default_rng(3)
-    grid = Grid1D(16)
     v = rng.standard_normal(16)
     for problem in (linear_advection(), semilinear_advection(), burgers()):
-        shifted = problem.rhs(Field(grid, np.roll(v, 5))).values
-        rolled = np.roll(problem.rhs(Field(grid, v)).values, 5)
+        shifted = problem.rhs(np.roll(v, 5))
+        rolled = np.roll(problem.rhs(v), 5)
         assert np.array_equal(shifted, rolled)
 
 
@@ -104,8 +97,8 @@ def test_rhs_conservation(problem):
     rng = np.random.default_rng(5)
     grid = Grid1D(64)
     v = rng.standard_normal(64)
-    out = problem.rhs(Field(grid, v))
-    assert abs(out.values.sum() * grid.dx) <= 1e-12 * np.abs(v).max()
+    out = problem.rhs(v)
+    assert abs(out.sum() * grid.dx) <= 1e-12 * np.abs(v).max()
 
 
 def test_burgers_has_no_exact_solution():

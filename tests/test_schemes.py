@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from icnlab.core import (
     DivergenceError,
-    Field,
     Grid1D,
     ParameterError,
     delta1_array,
@@ -24,9 +23,8 @@ from icnlab.schemes import (
     SchemeVariant,
     _kernel,
     _run,
-    aa_linear_stencil,
-    ga_linear_stencil,
     integrate,
+    linear_stencil,
     period_coefficients,
 )
 
@@ -35,7 +33,7 @@ ICN = SchemeConfig.icn()
 
 
 def zero_rhs(u):
-    return u.with_values(np.zeros_like(u.values))
+    return np.zeros_like(u)
 
 
 def smooth_field(grid, seed=0):
@@ -46,7 +44,7 @@ def smooth_field(grid, seed=0):
     for k in (1, 2, 3):
         a, b = rng.uniform(-0.3, 0.3, size=2)
         v += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
-    return Field(grid, v)
+    return v
 
 
 def courant_dt(grid, courant, speed=1.0):
@@ -66,21 +64,21 @@ def courant_dt(grid, courant, speed=1.0):
 )
 def test_zero_rhs_is_identity(step):
     u = smooth_field(Grid1D(16), seed=1)
-    assert np.array_equal(step(u).values, u.values)
+    assert np.array_equal(step(u), u)
 
 
 def test_icn_hand_value():
     grid = Grid1D(4)
-    u = Field(grid, [0.0, 1.0, 0.0, -1.0])
+    u = np.array([0.0, 1.0, 0.0, -1.0])
     out = ICN.step(u, LINEAR.rhs, courant_dt(grid, 0.25))
-    assert out.values[0] == pytest.approx(-0.46875, abs=1e-15)
+    assert out[0] == pytest.approx(-0.46875, abs=1e-15)
 
 
 def test_semilinear_zero_fixed_point():
     grid = Grid1D(8)
-    u = Field(grid, np.zeros(8))
+    u = np.zeros(8)
     out = ICN.step(u, semilinear_advection().rhs, 0.01)
-    assert np.array_equal(out.values, np.zeros(8))
+    assert np.array_equal(out, np.zeros(8))
 
 
 @pytest.mark.parametrize("swapped", [False, True])
@@ -92,7 +90,7 @@ def test_theta_half_equals_icn(swapped):
     config = (SchemeConfig.swapped_theta_icn if swapped
               else SchemeConfig.theta_icn)
     b = config(0.5).step(u, LINEAR.rhs, dt)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_theta_and_swapped_differ():
@@ -101,8 +99,8 @@ def test_theta_and_swapped_differ():
     dt = courant_dt(grid, 0.25)
     a = SchemeConfig.theta_icn(0.6).step(u, LINEAR.rhs, dt)
     b = SchemeConfig.swapped_theta_icn(0.6).step(u, LINEAR.rhs, dt)
-    assert np.isfinite(a.values).all() and np.isfinite(b.values).all()
-    assert not np.array_equal(a.values, b.values)
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert not np.array_equal(a, b)
 
 
 def test_ga_half_matches_icn_trajectory():
@@ -112,7 +110,7 @@ def test_ga_half_matches_icn_trajectory():
     for _ in range(20):
         u_icn = ICN.step(u_icn, LINEAR.rhs, dt)
         u_ga = SchemeConfig.ga(0.5).step(u_ga, LINEAR.rhs, dt)
-    assert np.array_equal(u_icn.values, u_ga.values)
+    assert np.array_equal(u_icn, u_ga)
 
 
 def test_aa_parity_alternation():
@@ -124,7 +122,7 @@ def test_aa_parity_alternation():
     manual = SchemeConfig.theta_icn(0.4).step(
         SchemeConfig.theta_icn(0.6).step(u, LINEAR.rhs, dt), LINEAR.rhs, dt
     )
-    assert np.array_equal(two.values, manual.values)
+    assert np.array_equal(two, manual)
 
 
 def test_ga_step_matches_stencil():
@@ -133,9 +131,9 @@ def test_ga_step_matches_stencil():
     courant = 0.25
     dt = courant_dt(grid, courant)
     staged = SchemeConfig.ga(0.6).step(u, LINEAR.rhs, dt)
-    stencil = ga_linear_stencil(u, courant, 0.6, 1.0 / 2.4)
-    scale = np.abs(stencil.values).max()
-    assert np.abs(staged.values - stencil.values).max() <= 1e-13 * scale
+    stencil = linear_stencil(u, courant, *SchemeConfig.ga(0.6).weights())
+    scale = np.abs(stencil).max()
+    assert np.abs(staged - stencil).max() <= 1e-13 * scale
 
 
 def test_aa_step_matches_stencil():
@@ -144,9 +142,9 @@ def test_aa_step_matches_stencil():
     courant = 0.25
     dt = courant_dt(grid, courant)
     staged = SchemeConfig.aa(0.6).step(u, LINEAR.rhs, dt)
-    stencil = aa_linear_stencil(u, courant, 0.6)
-    scale = np.abs(stencil.values).max()
-    assert np.abs(staged.values - stencil.values).max() <= 1e-13 * scale
+    stencil = linear_stencil(u, courant, *SchemeConfig.aa(0.6).weights())
+    scale = np.abs(stencil).max()
+    assert np.abs(staged - stencil).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -155,19 +153,19 @@ def test_aa_step_matches_stencil():
 def test_swapped_step_matches_stencil(n, theta, courant):
     # weights (theta, 1, 1 - theta) give
     # u - R d1 u + (1 - theta) R^2 d2 u - theta (1 - theta) R^3 d3 u
-    u = smooth_field(Grid1D(n), seed=n)
+    grid = Grid1D(n)
+    u = smooth_field(grid, seed=n)
     staged = SchemeConfig.swapped_theta_icn(theta).step(
-        u, LINEAR.rhs, courant_dt(u.grid, courant)
+        u, LINEAR.rhs, courant_dt(grid, courant)
     )
-    v = u.values
     stencil = (
-        v
-        - courant * delta1_array(v)
-        + (1.0 - theta) * courant**2 * delta2_array(v)
-        - theta * (1.0 - theta) * courant**3 * delta3_array(v)
+        u
+        - courant * delta1_array(u)
+        + (1.0 - theta) * courant**2 * delta2_array(u)
+        - theta * (1.0 - theta) * courant**3 * delta3_array(u)
     )
     scale = np.abs(stencil).max()
-    assert np.abs(staged.values - stencil).max() <= 1e-13 * scale
+    assert np.abs(staged - stencil).max() <= 1e-13 * scale
 
 
 def test_ga_stencil_constrained_coefficients():
@@ -178,51 +176,64 @@ def test_ga_stencil_constrained_coefficients():
     rng = np.random.default_rng(7)
     courant = 0.3
     for theta1 in rng.uniform(0.3, 1.2, size=5):
-        out = ga_linear_stencil(u, courant, theta1, 1.0 / (4.0 * theta1))
-        v = u.values
+        out = linear_stencil(u, courant, *SchemeConfig.ga(theta1).weights())
         direct = (
-            v
-            - courant * delta1_array(v)
-            + 0.5 * courant**2 * delta2_array(v)
-            - 0.5 * theta1 * courant**3 * delta3_array(v)
+            u
+            - courant * delta1_array(u)
+            + 0.5 * courant**2 * delta2_array(u)
+            - 0.5 * theta1 * courant**3 * delta3_array(u)
         )
-        assert np.abs(out.values - direct).max() <= 1e-14
+        assert np.abs(out - direct).max() <= 1e-14
 
 
 def test_aa_stencil_reduces_to_ga_at_half():
     grid = Grid1D(16)
     u = smooth_field(grid, seed=8)
-    a = aa_linear_stencil(u, 0.3, 0.5)
-    b = ga_linear_stencil(u, 0.3, 0.5, 0.5)
-    assert np.abs(a.values - b.values).max() <= 1e-15
+    a = linear_stencil(u, 0.3, *SchemeConfig.aa(0.5).weights())
+    b = linear_stencil(u, 0.3, *SchemeConfig.ga(0.5).weights())
+    assert np.abs(a - b).max() <= 1e-15
 
 
 def test_stencils_at_zero_courant():
     u = smooth_field(Grid1D(8), seed=9)
-    assert np.array_equal(ga_linear_stencil(u, 0.0, 0.6, 0.6).values, u.values)
-    assert np.array_equal(aa_linear_stencil(u, 0.0, 0.6).values, u.values)
-
-
-def test_stencil_wrappers_reject_invalid_weights():
-    u = smooth_field(Grid1D(8), seed=9)
-    for theta1, theta2 in ((0.0, 0.5), (0.5, -1.0)):
-        with pytest.raises(ValueError):
-            ga_linear_stencil(u, 0.3, theta1, theta2)
-    for theta in (-0.1, 1.5):
-        with pytest.raises(ValueError):
-            aa_linear_stencil(u, 0.3, theta)
+    for scheme in (SchemeConfig.ga(0.6), SchemeConfig.aa(0.6)):
+        out = linear_stencil(u, 0.0, *scheme.weights())
+        assert np.array_equal(out, u)
 
 
 def test_stencil_preserves_constants():
-    u = Field(Grid1D(8), np.full(8, 1.3))
-    out = aa_linear_stencil(u, 0.4, 0.7)
-    assert np.array_equal(out.values, u.values)
+    u = np.full(8, 1.3)
+    out = linear_stencil(u, 0.4, *SchemeConfig.aa(0.7).weights())
+    assert np.array_equal(out, u)
 
 
 def test_integrate_zero_steps():
     u = smooth_field(Grid1D(8), seed=10)
     out = integrate(u, SchemeConfig.icn(), LINEAR.rhs, 0.1, 0)
-    assert np.array_equal(out.values, u.values)
+    assert np.array_equal(out, u)
+
+
+def test_state_validation():
+    # a state is one row of nodal values, taken as floats, and error_norms
+    # compares two states of one shape; neither is a parameter with a flag,
+    # so both raise a plain ValueError
+    from icnlab.analysis import error_norms
+
+    u = [0, 1, 0, -1]
+    dt = courant_dt(Grid1D(4), 0.25)
+    out = ICN.step(u, LINEAR.rhs, dt)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, ICN.step(np.array(u, float), LINEAR.rhs, dt))
+    assert integrate(u, ICN, LINEAR.rhs, dt, 0).dtype == np.float64
+    for bad in (np.zeros((2, 8)), 1.0):
+        for call in (lambda: integrate(bad, ICN, LINEAR.rhs, dt, 1),
+                     lambda: ICN.step(bad, LINEAR.rhs, dt)):
+            with pytest.raises(ValueError, match="one row") as info:
+                call()
+            assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="grid mismatch") as info:
+        error_norms(np.zeros(4), np.zeros(8))
+    assert type(info.value) is ValueError
 
 
 def test_integrate_published_linear_l1():
@@ -238,7 +249,7 @@ def test_integrate_published_linear_l1():
     }
     for name, scheme in schemes.items():
         final = integrate(initial_condition(grid), scheme, LINEAR.rhs, dt, 200)
-        norms = error_norms(final, LINEAR.exact_field(grid, 0.5))
+        norms = error_norms(final, LINEAR.exact_solution(grid.nodes(), 0.5))
         assert norms.l1 == pytest.approx(expected[name], rel=0.15)
 
 
@@ -250,8 +261,8 @@ def test_mass_conservation_per_step(problem):
     u = initial_condition(grid)
     dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
     out = ICN.step(u, problem.rhs, dt)
-    drift = abs(out.values.sum() - u.values.sum())
-    assert drift <= 1e-12 * grid.n_cells * np.abs(u.values).max()
+    drift = abs(out.sum() - u.sum())
+    assert drift <= 1e-12 * grid.n_cells * np.abs(u).max()
 
 
 def test_integrate_divergence_reports_step_index():
@@ -338,7 +349,7 @@ def test_ga_half_step_equals_icn_bitwise(problem):
     u = initial_condition(grid)
     dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
     ga = SchemeConfig.ga(0.5).step(u, problem.rhs, dt)
-    assert ga.values.tobytes() == ICN.step(u, problem.rhs, dt).values.tobytes()
+    assert ga.tobytes() == ICN.step(u, problem.rhs, dt).tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -353,15 +364,15 @@ def test_ga_half_step_equals_icn_bitwise(problem):
 def test_kernel_matches_unified_stencil(w1, s, w2, courant, n, seed):
     # on u_t + a u_x = 0 with R = a dt / (2 dx), weights (w1, s, w2) give
     # u - R d1 u + s w2 R^2 d2 u - s w1 w2 R^3 d3 u
-    u = smooth_field(Grid1D(n), seed=seed)
-    dt = courant_dt(u.grid, courant)
-    staged = _kernel(u.values, LINEAR.array_rhs(u.grid), dt, w1, s, w2)
-    v = u.values
+    grid = Grid1D(n)
+    u = smooth_field(grid, seed=seed)
+    dt = courant_dt(grid, courant)
+    staged = _kernel(u, LINEAR.array_rhs(grid), dt, w1, s, w2)
     stencil = (
-        v
-        - courant * delta1_array(v)
-        + s * w2 * courant**2 * delta2_array(v)
-        - s * w1 * w2 * courant**3 * delta3_array(v)
+        u
+        - courant * delta1_array(u)
+        + s * w2 * courant**2 * delta2_array(u)
+        - s * w1 * w2 * courant**3 * delta3_array(u)
     )
     scale = np.abs(stencil).max()
     assert np.abs(staged - stencil).max() <= 1e-13 * scale
@@ -370,17 +381,17 @@ def test_kernel_matches_unified_stencil(w1, s, w2, courant, n, seed):
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind.value)
 @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
 def test_field_callable_matches_array_form(problem, scheme):
-    # a bound Problem.rhs runs as the problem's array form; any other Field
-    # callable goes through the generic adapter, with the same bits
+    # a bound Problem.rhs runs as the problem's array form; any other
+    # callable has its output copied, with the same bits
     grid = Grid1D(30)
     dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
     u0 = initial_condition(grid)
     direct = integrate(u0, scheme, problem.rhs, dt, 7)
     wrapped = integrate(u0, scheme, lambda u: problem.rhs(u), dt, 7)
-    assert np.array_equal(direct.values, wrapped.values)
+    assert np.array_equal(direct, wrapped)
     one = scheme.step(u0, problem.rhs, dt, step_index=1)
     other = scheme.step(u0, lambda u: problem.rhs(u), dt, step_index=1)
-    assert np.array_equal(one.values, other.values)
+    assert np.array_equal(one, other)
 
 
 def plain_kernel(u, f, dt, w1, s, w2):
@@ -395,27 +406,27 @@ def plain_kernel(u, f, dt, w1, s, w2):
 
 @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
 def test_kernel_never_writes_into_what_the_rhs_returns(scheme):
-    # a Field callable that returns its input's values: the adapter hands
-    # back the very array the step passed in, so a kernel that updated what
-    # f returns in place would overwrite its own state
+    # a callable that returns its input: f hands back the very array the
+    # step passed in, so a kernel that updated what f returns in place
+    # would overwrite its own state
     grid = Grid1D(30)
     u0 = initial_condition(grid)
     dt = 0.01
-    got = integrate(u0, scheme, lambda u: Field(u.grid, u.values), dt, 5)
-    u = u0.values
+    got = integrate(u0, scheme, lambda u: u, dt, 5)
+    u = u0
     for i in range(5):
         u = plain_kernel(u, lambda v: v, dt, *scheme.weights(i))
-    assert got.values.tobytes() == u.tobytes()
+    assert got.tobytes() == u.tobytes()
     weights = scheme.weights(0)
-    one = _kernel(u0.values, lambda v: v, dt, *weights)
-    assert one.tobytes() == plain_kernel(u0.values, lambda v: v, dt,
+    one = _kernel(u0, lambda v: v, dt, *weights)
+    assert one.tobytes() == plain_kernel(u0, lambda v: v, dt,
                                          *weights).tobytes()
-    assert u0.values.tobytes() == initial_condition(grid).values.tobytes()
+    assert u0.tobytes() == initial_condition(grid).tobytes()
 
 
 @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
 def test_step_owns_a_copy_of_what_a_field_callable_returns(scheme):
-    # a Field callable that returns the same held array on every call: the
+    # a callable that returns the same held array on every call: the
     # step scales a copy of it, so the array stays as it was, through
     # integrate and through SchemeConfig.step alike
     grid = Grid1D(30)
@@ -425,19 +436,19 @@ def test_step_owns_a_copy_of_what_a_field_callable_returns(scheme):
     dt = 0.01
 
     def rhs(u):
-        return Field(grid, held)
+        return held
 
     got = integrate(u0, scheme, rhs, dt, 5)
     assert held.tobytes() == kept.tobytes()
-    u = u0.values
+    u = u0
     for i in range(5):
         u = plain_kernel(u, lambda v: kept, dt, *scheme.weights(i))
-    assert got.values.tobytes() == u.tobytes()
+    assert got.tobytes() == u.tobytes()
     for parity in (0, 1):
         one = scheme.step(u0, rhs, dt, step_index=parity)
         assert held.tobytes() == kept.tobytes()
-        assert one.values.tobytes() == plain_kernel(
-            u0.values, lambda v: kept, dt, *scheme.weights(parity)
+        assert one.tobytes() == plain_kernel(
+            u0, lambda v: kept, dt, *scheme.weights(parity)
         ).tobytes()
 
 
@@ -475,17 +486,16 @@ def oracle_divergence_step(problem, label, u0, dt, n_steps):
         w1, s, w2 = ORACLE_WEIGHTS[label](i)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                un = u.values
-                ut = un + dt * problem.rhs(u).values
-                ub = w1 * ut + (1.0 - w1) * un
-                ut = un + (s * dt) * problem.rhs(u.with_values(ub)).values
-                ub = w2 * ut + (1.0 - w2) * un
-                out = un + dt * problem.rhs(u.with_values(ub)).values
+                ut = u + dt * problem.rhs(u)
+                ub = w1 * ut + (1.0 - w1) * u
+                ut = u + (s * dt) * problem.rhs(ub)
+                ub = w2 * ut + (1.0 - w2) * u
+                out = u + dt * problem.rhs(ub)
         except DivergenceError:
             return i
         if not np.isfinite(out).all():
             return i
-        u = u.with_values(out)
+        u = out
     return None
 
 
@@ -503,7 +513,7 @@ def test_divergence_step_matches_per_call_checks(problem, n, dt, scheme):
     u0 = initial_condition(Grid1D(n))
     expected = oracle_divergence_step(problem, scheme.label(), u0, dt, 2000)
     assert expected is not None
-    # the array form checks once per step; the wrapped Field callable
+    # the array form checks once per step; the wrapped callable
     # raises from Problem.rhs's own check at the first non-finite input
     for rhs in (problem.rhs, lambda u: problem.rhs(u)):
         with pytest.raises(DivergenceError) as info:
