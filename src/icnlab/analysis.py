@@ -10,16 +10,17 @@ produced:
     against a fine-step reference run after every step, and reports the
     running mean of each norm ("norm in time").
 
-The Burgers reference is one ICN integration at dt_fine.
-``_reference_memo`` holds, per (grid, dt_fine, t_final, viscosity), the
-states at one cadence, and a request at a multiple m of that cadence is
-served as ``states[m-1::m]``.  With a cache directory a sweep's trajectory
-is persisted as ``burgers-ref-...-every<cadence>.npy``, the one file read
-back, so a warm cache integrates nothing.  The SHA-256 of its states is
-written beside it as ``...-every<cadence>.sha256``, and a trajectory
-without a matching digest is integrated again.  The final state is written
-next to them as ``burgers-ref-....csv``, an output derived from the
-trajectory's last row that is never read.
+The Burgers reference is one ICN integration at dt_fine, and the library
+keeps no state between calls: without a cache directory every call
+integrates it.  With one, a sweep's trajectory is persisted as
+``burgers-ref-...-every<cadence>.npy``, the one file read back, so a warm
+cache integrates nothing.  The SHA-256 of its states is written beside it
+as ``...-every<cadence>.sha256``, and a trajectory without a matching
+digest is integrated again and both files rewritten, the digest last.  The
+final state is written next to them as ``burgers-ref-....csv``, an output
+derived from the trajectory's last row that is never read; it is rewritten
+unless it already holds exactly those bytes.  ``burgers_reference``, the
+final state alone, reads and writes no file.
 """
 from __future__ import annotations
 
@@ -307,12 +308,6 @@ class _MeanNorms:
                             for total in self.sums[:, row]))
 
 
-# The one in-process cache of Burgers references: (grid, dt_fine, t_final,
-# viscosity) -> (cadence, states), where states[k] is the state after
-# (k + 1) * cadence fine steps.
-_reference_memo: dict[tuple, tuple[int, np.ndarray]] = {}
-
-
 def _integrate_reference(
     grid: Grid1D, dt_fine: float, steps: int, viscosity: float, cadence: int
 ) -> np.ndarray:
@@ -396,53 +391,32 @@ def _reference_trajectory(
     cadence: int,
     cache_dir: str | Path | None = None,
 ) -> np.ndarray:
-    """ICN reference states every ``cadence`` fine steps up to t_final.
-
-    A memoized trajectory whose cadence divides ``cadence`` serves the
-    request by striding; otherwise, with a cache directory, the states come
-    from its ``.npy`` file for this cadence.  Only when neither holds them
-    is the reference integrated, and the result replaces the memo entry.
-    With a cache directory the file and its digest are (re)written unless
-    they already held the states, and the final-state CSV next to them is
-    rewritten unless it already holds exactly the bytes of the last row.
-    """
+    """ICN reference states every ``cadence`` fine steps up to t_final,
+    integrated, or read from and written to ``cache_dir`` as the module
+    docstring describes."""
     steps = steps_for(t_final, dt_fine)
     if steps % cadence != 0:
         raise ValueError("reference cadence does not divide the step count")
-    key = (grid, dt_fine, t_final, viscosity)
-    states = None
-    if key in _reference_memo:
-        stored, kept = _reference_memo[key]
-        if cadence % stored == 0:
-            m = cadence // stored
-            states = kept[m - 1::m]
-    cached = None
-    if cache_dir is not None:
-        name = (
-            f"burgers-ref-n{grid.n_cells}-t{t_final!r}-dt{dt_fine!r}"
-            f"-nu{viscosity!r}"
-        )
-        path = Path(cache_dir) / f"{name}-every{cadence}.npy"
-        cached = _read_trajectory(path, (steps // cadence, grid.n_cells))
+    if cache_dir is None:
+        return _integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+    name = (
+        f"burgers-ref-n{grid.n_cells}-t{t_final!r}-dt{dt_fine!r}"
+        f"-nu{viscosity!r}"
+    )
+    path = Path(cache_dir) / f"{name}-every{cadence}.npy"
+    states = _read_trajectory(path, (steps // cadence, grid.n_cells))
     if states is None:
-        states = cached
-        if states is None:
-            states = _integrate_reference(
-                grid, dt_fine, steps, viscosity, cadence
-            )
-        _reference_memo[key] = (cadence, states)
-    if cache_dir is not None:
-        if cached is None:
-            # the digest goes last: a trajectory replaced without it is a
-            # miss, never a hit
-            _write_atomic(path, lambda handle: np.save(handle, states))
-            digest = _states_digest(states)
-            _write_atomic(path.with_suffix(".sha256"),
-                          lambda handle: handle.write(digest))
-        csv = path.with_name(f"{name}.csv")
-        content = _final_state_csv(grid, states[-1])
-        if not (csv.is_file() and csv.read_bytes() == content):
-            _write_atomic(csv, lambda handle: handle.write(content))
+        states = _integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+        # the digest goes last: a trajectory replaced without it is a miss,
+        # never a hit
+        _write_atomic(path, lambda handle: np.save(handle, states))
+        digest = _states_digest(states)
+        _write_atomic(path.with_suffix(".sha256"),
+                      lambda handle: handle.write(digest))
+    csv = path.with_name(f"{name}.csv")
+    content = _final_state_csv(grid, states[-1])
+    if not (csv.is_file() and csv.read_bytes() == content):
+        _write_atomic(csv, lambda handle: handle.write(content))
     return states
 
 
@@ -454,22 +428,14 @@ def burgers_reference(
 ) -> np.ndarray:
     """Fine-step ICN solution used as the Burgers 'exact' state at t_final.
 
-    A memoized trajectory serves its last row: at every cadence, and in
-    every stride ``states[m-1::m]`` of it, that row is the final state.
-    Otherwise only the final state is integrated, in O(N) memory, and the
-    memo gains no entry.  No file is read or written here: a sweep's
-    ``.npy`` trajectory is the one cached form of the reference, and the
-    final-state CSV beside it is derived from its last row.
+    Only the final state is integrated, in O(N) memory; no cache file is
+    read or written (see the module docstring).
     """
     grid = Grid1D(n_cells)
     if t_final == 0.0:
         return initial_condition(grid)
-    key = (grid, dt_fine, t_final, viscosity)
-    if key in _reference_memo:
-        final = _reference_memo[key][1][-1].copy()
-    else:
-        steps = steps_for(t_final, dt_fine)
-        (final,) = _integrate_reference(grid, dt_fine, steps, viscosity, steps)
+    steps = steps_for(t_final, dt_fine)
+    (final,) = _integrate_reference(grid, dt_fine, steps, viscosity, steps)
     return final
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -41,9 +40,6 @@ THETA_NAMES = tuple(dict.fromkeys(p for p in PARAMETER.values() if p))
 FLAGS = {"n_cells": "--n", "theta_odd": "--theta-o",
          "n_steps": "--t-final", "theta_range": "--theta-min/--theta-max",
          "beta_range": "--beta-min/--beta-max"}
-# an int in the syntax that int() takes: digits of any script, and around
-# them any whitespace but the separators \x1c-\x1f
-INTEGER = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d(?:_?\d)*[^\S\x1c-\x1f]*")
 # the constructor of each --problem, which supplies its defaults
 PROBLEMS = {"linear": problems.linear_advection,
             "semilinear": problems.semilinear_advection,
@@ -215,11 +211,12 @@ def cmd_sweep(args) -> int:
     norms = _items(args, "norms", NORM_KEYS)
     resolutions = None
     if args.resolutions is not None:
-        items = args.resolutions.split(",")
-        if not all(INTEGER.fullmatch(item) for item in items):
+        try:
+            resolutions = tuple(map(int, args.resolutions.split(",")))
+        except ValueError as err:
             raise ParameterError("resolutions",
-                                 "resolutions must be comma-separated ints")
-        resolutions = tuple(map(int, items))
+                                 "resolutions must be comma-separated ints"
+                                 ) from err
     problem = _problem(
         args, n_cells=args.n, dt_base=args.dt_base, cache_dir=args.cache_dir
     )

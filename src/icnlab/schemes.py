@@ -61,30 +61,21 @@ from .problems import Problem
 ArrayOperator = Callable[[np.ndarray], np.ndarray]
 
 
-def _kernel(
-    u: np.ndarray, f: ArrayOperator, dt: float, w1: float, s: float, w2: float
-) -> np.ndarray:
-    """One two-iteration step with weights (w1, s, w2), for any f: it hands
-    _step a copy of what f returns (see _step)."""
-    return _step(u, lambda v: f(v).copy(), *_factors(dt, w1, s, w2))
-
-
 def _factors(dt: float, w1: float, s: float, w2: float) -> tuple:
     """The factors (dt, w1, 1 - w1, s dt, w2, 1 - w2) of _step."""
     return dt, w1, 1.0 - w1, s * dt, w2, 1.0 - w2
 
 
 def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
-    """The step of _kernel from its factors, which _run computes once per
-    run.
+    """One two-iteration step with weights (w1, s, w2), from their factors
+    (_factors), which _run computes once per run.
 
     The statements of the step in the module docstring, evaluated in the
     same order and updated in place, so the bits are those of the plain
     expressions: x * dt is dt * x in IEEE arithmetic.  f must return a
     fresh array on every call, which the step owns and scales in place.
     This is the one statement of that rule: the array forms of the problems
-    return fresh arrays, and _array_form and _kernel copy what any other f
-    returns.
+    return fresh arrays, and _array_form copies what any other f returns.
     """
     ut = f(u)
     ut *= dt
@@ -294,9 +285,9 @@ def _run(
     # Every factor of _step is an array of u's shape, row k holding
     # schemes[k]'s value: numpy converts a Python float operand on every
     # call, and broadcasts a (K, 1) column into an in-place product at about
-    # twice the cost, both more than the arithmetic at N = 30.  The values
-    # are computed in floats, as for _kernel, and spread along
-    # the rows at once: (parity, factor, [K,] N).
+    # twice the cost, both more than the arithmetic at N = 30.  _factors
+    # computes the values in floats, and they are spread along the rows at
+    # once: (parity, factor, [K,] N).
     table = np.array([
         [_factors(dt, *scheme.weights(parity)) for scheme in schemes]
         for parity in (0, 1)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -156,7 +157,6 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
     # the final-state CSV is derived from the trajectory and never read: a
     # rerun that takes its states from the .npy rewrites whatever the CSV
     # holds, byte for byte
-    monkeypatch.setattr(analysis, "_reference_memo", {})
     grid = Grid1D(30)
     args = (grid, 0.5 * grid.dx**2 / 4.0, 0.125, 0.01, 100, tmp_path)
     fresh = analysis._reference_trajectory(*args)
@@ -164,7 +164,6 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
     good = path.read_text()
     lines = corrupt(good.splitlines())
     path.write_text("".join(line + "\n" for line in lines))
-    analysis._reference_memo.clear()
     calls = count_integrations(monkeypatch)
     again = analysis._reference_trajectory(*args)
     assert calls == []
@@ -186,12 +185,10 @@ def count_integrations(monkeypatch):
     return calls
 
 
-def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path,
-                                                         monkeypatch):
+def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path):
     # the persisted trajectory ends on the final state of the CSV written
-    # beside it, and both equal what an uncached process integrates, bit
-    # for bit
-    monkeypatch.setattr(analysis, "_reference_memo", {})
+    # beside it, and both equal what an uncached call integrates, bit for
+    # bit
     grid = Grid1D(30)
     dt_fine = 0.5 * grid.dx**2 / 32
     analysis._reference_trajectory(grid, dt_fine, 0.015625, 0.01, 4,
@@ -203,38 +200,29 @@ def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path,
     final = np.array([float(line.split(",")[1])
                       for line in csv.read_text().splitlines()[1:]])
     assert states[-1].tobytes() == final.tobytes()
-    analysis._reference_memo.clear()
     fresh = analysis._reference_trajectory(grid, dt_fine, 0.015625, 0.01, 4)
     assert fresh.shape == states.shape
     assert fresh.tobytes() == states.tobytes()
-    analysis._reference_memo.clear()
     alone = burgers_reference(30, dt_fine, 0.015625)
     assert alone.tobytes() == final.tobytes()
-    assert analysis._reference_memo == {}
 
 
-def test_reference_memo_serves_multiples_of_its_cadence(monkeypatch):
-    monkeypatch.setattr(analysis, "_reference_memo", {})
+def test_burgers_sweeps_without_cache_carry_no_state(monkeypatch):
+    # the library keeps no reference between calls: each uncached sweep
+    # integrates its own, and the two tables hold the same bits
     calls = count_integrations(monkeypatch)
-    grid = Grid1D(30)
-    dt_fine = 0.5 * grid.dx**2 / 32
-    args = (grid, dt_fine, 0.02, 0.01)
-    analysis._reference_trajectory(*args, 4)
-    calls.clear()
-    strided = analysis._reference_trajectory(*args, 16)
-    assert calls == []
-    final = burgers_reference(30, dt_fine, 0.02)
-    assert calls == []
-    assert final.tobytes() == strided[-1].tobytes()
-    analysis._reference_memo.clear()
-    fresh = analysis._reference_trajectory(*args, 16)
-    assert strided.shape == fresh.shape == (1152 // 16, 30)
-    assert strided.tobytes() == fresh.tobytes()
-    # a finer cadence integrates again and replaces the entry
-    calls.clear()
-    analysis._reference_trajectory(*args, 8)
-    assert calls == [dt_fine]
-    assert [cadence for cadence, _ in analysis._reference_memo.values()] == [8]
+    spec = burgers_sweep([ICN, SchemeConfig.aa(0.6)], dt_divisors=(1, 2),
+                         t_final=0.004, dt_base=0.001)
+    tables = []
+    for _ in range(2):
+        calls.clear()
+        result = run_sweep(spec)
+        assert calls == [spec.reference_dt]
+        tables.append(np.array([
+            [row.norms.get(k) for k in analysis.NORM_KEYS]
+            for table in result.tables for row in table.rows
+        ]).tobytes())
+    assert tables[0] == tables[1]
 
 
 def small_linear_spec():
@@ -394,6 +382,18 @@ def test_batched_rows_match_integrate(schemes, problem, n, n_steps):
         assert final[k].tobytes() == alone.tobytes(), scheme.label()
 
 
+@functools.lru_cache(maxsize=1)
+def sweep_reference(spec):
+    """The reference states a Burgers sweep samples, and the lcm of its
+    dt divisors: integrated once for all of the spec's cells."""
+    sample_lcm = math.lcm(*spec.resolutions)
+    reference = analysis._reference_trajectory(
+        Grid1D(spec.n_cells), spec.reference_dt, spec.t_final,
+        spec.problem.viscosity, analysis.REFERENCE_DIVISOR // sample_lcm,
+    )
+    return reference, sample_lcm
+
+
 def per_cell(spec, scheme, resolution):
     """One cell run alone through integrate, with the norms reduced over
     one (N,) row at a time: an oracle for the batched sweep.  Returns the
@@ -412,11 +412,7 @@ def per_cell(spec, scheme, resolution):
     observer = None
     if spec.is_burgers:
         # time-averaged against the reference
-        sample_lcm = math.lcm(*spec.resolutions)
-        reference = analysis._reference_trajectory(
-            grid, spec.reference_dt, spec.t_final, spec.problem.viscosity,
-            analysis.REFERENCE_DIVISOR // sample_lcm,
-        )
+        reference, sample_lcm = sweep_reference(spec)
         stride = sample_lcm // resolution
 
         def observer(i, state):

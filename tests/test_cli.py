@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 import icnlab
 from icnlab import analysis, cli
-from icnlab.cli import (EXIT_NUMERICAL, INTEGER, VARIANTS, build_parser,
-                        flag, main)
+from icnlab.cli import EXIT_NUMERICAL, VARIANTS, build_parser, flag, main
 from icnlab.problems import linear_advection
 from icnlab.schemes import PARAMETER, SchemeVariant
 
@@ -244,12 +243,13 @@ def test_sweep_burgers_cache_dir(tmp_path):
 
 
 def count_integrations(monkeypatch):
-    """Record the fine step of every reference integration."""
+    """Record the fine step, step count and cadence of every reference
+    integration."""
     calls = []
     integrate_reference = analysis._integrate_reference
 
     def counting(grid, dt_fine, steps, viscosity, cadence):
-        calls.append(dt_fine)
+        calls.append((dt_fine, steps, cadence))
         return integrate_reference(grid, dt_fine, steps, viscosity, cadence)
 
     monkeypatch.setattr(analysis, "_integrate_reference", counting)
@@ -258,33 +258,36 @@ def count_integrations(monkeypatch):
 
 def test_sweep_cache_dir_integrates_reference_once(tmp_path, monkeypatch):
     # the first command integrates one reference trajectory, at the
-    # reference step dt_base / 32, and persists it; the rerun starts as a
-    # fresh process would, with no memo, and integrates nothing
+    # reference step dt_base / 32, and persists it; the rerun reads it and
+    # integrates nothing
     calls = count_integrations(monkeypatch)
+    cache = tmp_path / "cache"
     args = ["sweep", "--problem", "burgers", "--schemes", "icn",
             "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
-            "1,2", "--norms", "l1", "--cache-dir", str(tmp_path / "cache")]
+            "1,2", "--norms", "l1", "--cache-dir", str(cache)]
     for run, integrations in (("first", 1), ("rerun", 0)):
-        analysis._reference_memo.clear()
         calls.clear()
         assert main(args + ["--out", str(tmp_path / f"{run}.csv")]) == 0
-        assert calls == [0.001 / analysis.REFERENCE_DIVISOR] * integrations
         # the trajectory keeps only the states the finest cell samples:
         # every 16th of 128 fine steps
-        assert [(cadence, len(states)) for cadence, states
-                in analysis._reference_memo.values()] == [(16, 8)]
+        assert calls == [
+            (0.001 / analysis.REFERENCE_DIVISOR, 128, 16)] * integrations
+        (path,) = cache.glob("*-every16.npy")
+        assert np.load(path, allow_pickle=False).shape == (8, 30)
     assert (tmp_path / "first_l1.csv").read_bytes() == (
         tmp_path / "rerun_l1.csv"
     ).read_bytes()
 
 
-def test_run_burgers_keeps_no_reference_trajectory(tmp_path):
-    # the run command integrates its reference once, in O(N) memory
-    analysis._reference_memo.clear()
+def test_run_burgers_keeps_no_reference_trajectory(tmp_path, monkeypatch):
+    # the run command integrates its reference once, in O(N) memory: its
+    # cadence is the whole step count, so it keeps the final state alone
+    calls = count_integrations(monkeypatch)
     assert main(["run", "--problem", "burgers", "--scheme", "icn", "--n",
                  "8", "--t-final", "0.0625", "--out",
                  str(tmp_path / "r.csv")]) == 0
-    assert analysis._reference_memo == {}
+    dt_fine = analysis.burgers_dt(8) / analysis.REFERENCE_DIVISOR
+    assert calls == [(dt_fine, 256, 256)]
 
 
 def test_run_checks_the_reference_end_time_before_integrating(
@@ -350,12 +353,10 @@ def test_sweep_cache_write_failure_exits_2(tmp_path, capsys, suffix):
     args = ["sweep", "--problem", "burgers", "--schemes", "icn",
             "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
             "1,2", "--cache-dir", str(cache)]
-    analysis._reference_memo.clear()
     assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
     (path,) = cache.glob(f"*{suffix}")
     path.unlink()
     path.mkdir()
-    analysis._reference_memo.clear()
     out = tmp_path / "out"
     out.mkdir()
     capsys.readouterr()
@@ -390,13 +391,11 @@ def test_sweep_recomputes_corrupt_trajectory_cache(tmp_path, monkeypatch):
     args = ["sweep", "--problem", "burgers", "--schemes", "icn,ga",
             "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
             "1,2", "--cache-dir", str(cache)]
-    analysis._reference_memo.clear()
     assert main(args + ["--out", str(tmp_path / "good.csv")]) == 0
     (path,) = cache.glob("*.npy")
     good = path.read_bytes()
     for name, data in _corrupt_trajectory(path).items():
         path.write_bytes(data)
-        analysis._reference_memo.clear()
         calls.clear()
         out = tmp_path / name
         out.mkdir()
@@ -436,16 +435,13 @@ def test_sweep_recomputes_trajectory_without_matching_digest(
             "1,2"]
     for run in ("plain", "first", "damaged", "warm"):
         (tmp_path / run).mkdir()
-    analysis._reference_memo.clear()
     assert main(args + ["--out", str(tmp_path / "plain" / "t.csv")]) == 0
     args += ["--cache-dir", str(cache)]
-    analysis._reference_memo.clear()
     assert main(args + ["--out", str(tmp_path / "first" / "t.csv")]) == 0
     (path,) = cache.glob("*.npy")
     good = path.read_bytes()
     damage(path)
     for run, integrations in (("damaged", 1), ("warm", 0)):
-        analysis._reference_memo.clear()
         calls.clear()
         assert main(args + ["--out", str(tmp_path / run / "t.csv")]) == 0
         assert len(calls) == integrations, run
@@ -462,7 +458,6 @@ def test_sweep_recomputes_trajectory_without_matching_digest(
 def test_sweep_diverging_reference_exits_3(tmp_path, capsys):
     # the reference runs at dt_base / 32 = 0.2, where ICN on this grid
     # blows up at step 5; the failure names the step and no table is written
-    analysis._reference_memo.clear()
     code = main(["sweep", "--problem", "burgers", "--schemes", "icn",
                  "--dt-base", "6.4", "--t-final", "64", "--resolutions",
                  "1,2", "--out", str(tmp_path / "t.csv")])
@@ -694,15 +689,19 @@ def test_every_parameter_maps_to_a_flag():
         assert set(flag(name).split("/")) <= options, (name, flag(name))
 
 
-@given(st.text(st.sampled_from(list(" \t\n\xa0\x1c\x1f+-_059\u0663x.,"))
-               | st.characters(), max_size=8))
-def test_resolutions_take_the_ints_that_int_takes(text):
-    try:
-        int(text)
-    except ValueError:
-        assert not INTEGER.fullmatch(text)
-    else:
-        assert INTEGER.fullmatch(text)
+@pytest.mark.parametrize(
+    "item", ["1" * 4301, "\x1c1", "1__0", "", "x"],
+    ids=["4301-digits", "separator", "double-underscore", "empty", "letter"],
+)
+def test_resolutions_int_rejects_exit_2(tmp_path, capsys, item):
+    # each item is parsed by int(): whatever it rejects, past its digit
+    # limit too, is a usage error that names the flag and writes nothing
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["sweep", "--problem", "linear", "--resolutions", item,
+                 "--out", str(out / "t.csv")]) == 2
+    assert "--resolutions" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_repeat_is_byte_identical(tmp_path):
@@ -987,7 +986,6 @@ def _valid_argvs(draw):
 def _keeps_exit_code_contract(argv):
     """0, 2 or 3 and no exception; a usage error names a flag and writes
     no output file."""
-    analysis._reference_memo.clear()
     with tempfile.TemporaryDirectory() as tmp:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

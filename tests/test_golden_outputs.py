@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from icnlab import analysis, cli
+from icnlab import cli
 from icnlab.stability import scan_region
 
 GOLDEN = Path(__file__).with_name("golden_outputs.sha256")
@@ -101,8 +101,6 @@ def _digest(data: bytes) -> str:
 def case_digests(case: str, out: Path) -> dict[str, str]:
     """Run one case's commands into ``out``; digest of every file written."""
     for argv in CASES[case]:
-        # each command starts as a fresh process would, with no memo
-        analysis._reference_memo.clear()
         code = cli.main([a.format(out=out) for a in argv])
         assert code == cli.EXIT_OK, argv
     return {

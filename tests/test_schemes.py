@@ -21,8 +21,9 @@ from icnlab.schemes import (
     PARAMETER,
     SchemeConfig,
     SchemeVariant,
-    _kernel,
+    _factors,
     _run,
+    _step,
     integrate,
     linear_stencil,
     period_coefficients,
@@ -30,6 +31,12 @@ from icnlab.schemes import (
 
 LINEAR = linear_advection()
 ICN = SchemeConfig.icn()
+
+
+def one_step(u, f, dt, w1, s, w2):
+    """One step with weights (w1, s, w2) for any f: _step on a copy of
+    what f returns, as _array_form gives it."""
+    return _step(u, lambda v: f(v).copy(), *_factors(dt, w1, s, w2))
 
 
 def zero_rhs(u):
@@ -367,7 +374,7 @@ def test_kernel_matches_unified_stencil(w1, s, w2, courant, n, seed):
     grid = Grid1D(n)
     u = smooth_field(grid, seed=seed)
     dt = courant_dt(grid, courant)
-    staged = _kernel(u, LINEAR.array_rhs(grid), dt, w1, s, w2)
+    staged = one_step(u, LINEAR.array_rhs(grid), dt, w1, s, w2)
     stencil = (
         u
         - courant * delta1_array(u)
@@ -418,7 +425,7 @@ def test_kernel_never_writes_into_what_the_rhs_returns(scheme):
         u = plain_kernel(u, lambda v: v, dt, *scheme.weights(i))
     assert got.tobytes() == u.tobytes()
     weights = scheme.weights(0)
-    one = _kernel(u0, lambda v: v, dt, *weights)
+    one = one_step(u0, lambda v: v, dt, *weights)
     assert one.tobytes() == plain_kernel(u0, lambda v: v, dt,
                                          *weights).tobytes()
     assert u0.tobytes() == initial_condition(grid).tobytes()
@@ -534,8 +541,8 @@ def test_order_condition_oracle(scheme, parity):
     # a step with c2 = s w2 leaves the local error (c2 - 1/2) dt^2 L'L +
     # O(dt^3), and L'L = 2 u^3 = 2 here; second order needs c2 = 1/2
     dt = 1e-3
-    step = _kernel(np.array([1.0]), lambda v: -v * v, dt,
-                   *scheme.weights(parity))
+    step = one_step(np.array([1.0]), lambda v: -v * v, dt,
+                    *scheme.weights(parity))
     fitted = (step[0] - 1.0 / (1.0 + dt)) / (2.0 * dt * dt)
     c2, _ = period_coefficients(scheme.variant, scheme.p)[parity]
     assert abs(fitted - (c2 - 0.5)) <= 1e-3
