@@ -192,16 +192,20 @@ def cmd_run(args) -> int:
         raise ParameterError("cfl" if problem.has_exact else "dt",
                              "must yield a positive finite time step")
     steps = steps_for(args.t_final, dt)
+    # the reference's fine step may not reach t_final either: a usage error
+    # before any step.  The reference is built after the run, so that a
+    # run that diverges exits before paying for it
+    if not problem.has_exact:
+        dt_fine = analysis.burgers_dt(args.n) / analysis.REFERENCE_DIVISOR
+        steps_for(args.t_final, dt_fine)
 
-    # the reference first: its fine step may not reach t_final either
+    final = integrate(initial_condition(grid), scheme, problem.rhs, dt, steps)
     if problem.has_exact:
         reference = problem.exact_solution(grid.nodes(), args.t_final)
     else:
-        dt_fine = analysis.burgers_dt(args.n) / analysis.REFERENCE_DIVISOR
         reference = analysis.burgers_reference(
             args.n, dt_fine, args.t_final, problem.viscosity
         )
-    final = integrate(initial_condition(grid), scheme, problem.rhs, dt, steps)
     output.write_text(args.out, output.solution_csv(grid, final, reference))
     return EXIT_OK
 

@@ -78,10 +78,6 @@ def delta3_array(values: np.ndarray) -> np.ndarray:
     )
 
 
-def second_derivative_array(values: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / (dx * dx)
-
-
 # Values per call from which PeriodicShifts copies slices rather than
 # gathering by index: on a 2-vCPU Xeon VM the two cost the same at about
 # 1000 to 1500 values (timings in ROADMAP).

@@ -1,9 +1,14 @@
 """Deterministic text renderers for solution, table, and stability files.
 
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
-order, newline line endings.  Per-point rows are formatted from the Python
-floats of ``.tolist()``, a map column at a time, because a NumPy scalar
-indexed and formatted per point costs several times the formatting itself.
+order, newline line endings.  A stability map is assembled as one uint8
+buffer per file, in which zero bytes stand for nothing and are dropped
+before decoding.  Its floats come from ``float_bytes``, whose row for each
+value holds exactly the bytes of ``format_float``.  A value of magnitude in
+[1e-99, 1e99) is scaled to six integer digits in float arithmetic, off by
+less than 1e-9, and rounded.  Within 1e-6 of a rounding tie that error
+could pick the wrong side, so such a value, like every zero, subnormal,
+non-finite or larger one, is formatted by ``format_float`` itself.
 """
 from __future__ import annotations
 
@@ -17,11 +22,51 @@ from .core import Grid1D
 from .stability import StabilityMap
 
 FAILED_CELL = "DIVERGED"
+# bytes of format_float's longest string, "-1.79769e+308"
+FLOAT_WIDTH = 13
+# the layout of float_bytes' rows: a sign byte, "0.00000e+00", a pad byte
+FLOAT_TEMPLATE = np.frombuffer(b"\x000.00000e+00\x00", np.uint8)
+# the PGM's gray levels 0 .. 255 in decimal, zero-padded to three bytes
+GRAY_DIGITS = np.arange(256).astype("S3").view(np.uint8).reshape(256, 3)
 
 
 def format_float(x: float) -> str:
     """Six significant digits, scientific notation (CSV cells)."""
     return f"{x:.5e}"
+
+
+def float_bytes(values: np.ndarray) -> np.ndarray:
+    """format_float of each value, flattened, as the rows of an
+    (n, FLOAT_WIDTH) uint8 array: the nonzero bytes of a row, in order,
+    are the string's."""
+    x = np.ravel(values)
+    magnitude = np.abs(x)
+    in_range = (magnitude >= 1e-99) & (magnitude < 1e99)
+    magnitude[~in_range] = 1.0
+    # |x| = scaled 10^(e - 5) with scaled in [1e5, 1e6), up to the rounding
+    # of log10 at a power of ten, which rint and the carry absorb
+    exponent = np.floor(np.log10(magnitude))
+    scaled = magnitude * 10.0 ** (5.0 - exponent)
+    exact = in_range & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    mantissa = np.rint(scaled)
+    carry = mantissa == 1e6
+    mantissa[carry] = 1e5
+    exponent[carry] += 1.0
+    # the six digits of the mantissa, then the two of the exponent
+    digits = (100.0 * mantissa + np.abs(exponent)).astype(np.uint32)
+
+    out = np.tile(FLOAT_TEMPLATE, (x.size, 1))
+    for column in (11, 10, 7, 6, 5, 4, 3, 1):
+        digits, digit = np.divmod(digits, 10)
+        out[:, column] += digit
+    out[exponent < 0, 9] = ord("-")
+    out[x < 0, 0] = ord("-")
+    rest = ~exact
+    out[rest] = np.array(
+        [format_float(v).encode() for v in x[rest].tolist()],
+        dtype=f"S{FLOAT_WIDTH}",
+    ).view(np.uint8).reshape(-1, FLOAT_WIDTH)
+    return out
 
 
 def format_compact(x: float) -> str:
@@ -95,22 +140,20 @@ def sweep_markdown(result: SweepResult, norm_key: str) -> str:
 
 def stability_csv(stability_map: StabilityMap) -> str:
     """Rows (theta, beta, |g|, stable), theta-major, beta ascending."""
-    betas = [format_float(beta) for beta in stability_map.beta_axis.tolist()]
-    blocks = ["theta,beta,g_modulus,stable\n"]
-    # one block of lines per theta column, so only one column's Python
-    # floats are alive at a time
-    for j, theta in enumerate(stability_map.theta_axis.tolist()):
-        t = format_float(theta)
-        column = zip(
-            betas,
-            stability_map.modulus[:, j].tolist(),
-            stability_map.stable_mask[:, j].tolist(),
-        )
-        blocks.append("".join([
-            f"{t},{beta},{format_float(g)},{'1' if stable else '0'}\n"
-            for beta, g, stable in column
-        ]))
-    return "".join(blocks)
+    theta = float_bytes(stability_map.theta_axis)
+    beta = float_bytes(stability_map.beta_axis)
+    n_theta, n_beta, w = len(theta), len(beta), FLOAT_WIDTH
+    # a line: theta, ",", beta, ",", |g|, ",", the flag, "\n"
+    buf = np.zeros((n_theta, n_beta, 3 * w + 5), np.uint8)
+    buf[:, :, :w] = theta[:, None]
+    buf[:, :, w + 1:2 * w + 1] = beta
+    buf[:, :, 2 * w + 2:3 * w + 2] = float_bytes(
+        stability_map.modulus.T).reshape(n_theta, n_beta, w)
+    buf[:, :, [w, 2 * w + 1, 3 * w + 2]] = ord(",")
+    buf[:, :, 3 * w + 3] = ord("0")
+    buf[stability_map.stable_mask.T, 3 * w + 3] = ord("1")
+    buf[:, :, 3 * w + 4] = ord("\n")
+    return "theta,beta,g_modulus,stable\n" + _text(buf)
 
 
 def stability_pgm(stability_map: StabilityMap) -> str:
@@ -122,9 +165,16 @@ def stability_pgm(stability_map: StabilityMap) -> str:
     clipped = np.minimum(stability_map.modulus, 2.0)
     gray = np.rint(255.0 * clipped / 2.0).astype(int)
     height, width = gray.shape
-    lines = ["P2", f"{width} {height}", "255"]
-    lines += [" ".join(map(str, row)) for row in gray[::-1].tolist()]
-    return "\n".join(lines) + "\n"
+    buf = np.empty((height, width, 4), np.uint8)
+    buf[:, :, :3] = GRAY_DIGITS[gray[::-1]]
+    buf[:, :, 3] = ord(" ")
+    buf[:, -1, 3] = ord("\n")
+    return f"P2\n{width} {height}\n255\n" + _text(buf)
+
+
+def _text(buf: np.ndarray) -> str:
+    """The nonzero bytes of ``buf`` in order, as text."""
+    return buf[buf != 0].tobytes().decode("ascii")
 
 
 def write_text(path: str | Path, content: str) -> None:

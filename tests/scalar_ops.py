@@ -1,6 +1,7 @@
 """Node-by-node forms of the centered difference operators, with an
 explicit periodic wrap: the oracles that the whole-state operators of
-``icnlab.core`` are checked against.
+``icnlab.core`` are checked against.  The three-point u_xx, which no
+library operator takes, also has its whole-state np.roll form here.
 """
 from __future__ import annotations
 
@@ -40,4 +41,11 @@ def second_derivative(v: np.ndarray, j: int, dx: float) -> float:
     n = len(v)
     return (
         v[wrap_index(j + 1, n)] - 2.0 * v[j] + v[wrap_index(j - 1, n)]
+    ) / (dx * dx)
+
+
+def second_derivative_array(values: np.ndarray, dx: float) -> np.ndarray:
+    """Centered three-point u_xx estimate at every node, by np.roll."""
+    return (
+        np.roll(values, -1) - 2.0 * values + np.roll(values, 1)
     ) / (dx * dx)

@@ -95,8 +95,9 @@ def semilinear_result():
 
 
 @pytest.fixture(scope="module")
-def burgers_result():
-    return run_sweep(burgers_sweep(ALL_SCHEMES))
+def burgers_result(burgers_cache):
+    # the reference is read from the session's cache (tests/conftest.py)
+    return run_sweep(burgers_sweep(ALL_SCHEMES, cache_dir=burgers_cache))
 
 
 def rows_by_label(result, scheme_key):

@@ -127,11 +127,12 @@ def test_burgers_reference_maximum_principle():
     assert reference.max() <= 1.0
 
 
-def test_burgers_reference_self_convergence():
-    # measured dt/32 vs dt/64 gap at t = 1 is 1.14e-9 (second order in dt)
+def test_burgers_reference_self_convergence(burgers_t1_states):
+    # measured dt/32 vs dt/64 gap at t = 1 is 1.14e-9 (second order in dt);
+    # the session's states are the dt/32 reference (tests/conftest.py)
     grid = Grid1D(30)
     delta = 0.5 * grid.dx**2
-    r32 = burgers_reference(30, delta / 32.0, 1.0)
+    r32 = burgers_t1_states[-1]
     r64 = burgers_reference(30, delta / 64.0, 1.0)
     gap = np.abs(r32 - r64).max()
     assert gap <= 2e-9
@@ -277,10 +278,10 @@ def test_run_sweep_burgers_published_value(burgers_small_result):
 
 
 @pytest.fixture(scope="module")
-def burgers_small_result():
-    return run_sweep(
-        burgers_sweep([ICN, SchemeConfig.aa(0.6)], dt_divisors=(1, 2))
-    )
+def burgers_small_result(burgers_cache):
+    return run_sweep(burgers_sweep([ICN, SchemeConfig.aa(0.6)],
+                                   dt_divisors=(1, 2),
+                                   cache_dir=burgers_cache))
 
 
 def test_run_sweep_burgers_divergence_marked():

@@ -304,6 +304,19 @@ def test_run_checks_the_reference_end_time_before_integrating(
     assert calls == []
 
 
+def test_diverged_run_exits_3_before_the_reference(tmp_path, monkeypatch,
+                                                    capsys):
+    # the run diverges within its first steps; the reference, 115,200 fine
+    # steps to t = 2, is never integrated
+    calls = count_integrations(monkeypatch)
+    assert main(["run", "--problem", "burgers", "--scheme", "icn", "--n",
+                 "30", "--dt", "0.2", "--t-final", "2", "--out",
+                 str(tmp_path / "r.csv")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r.csv").exists()
+
+
 def _change_one_digit(line):
     """The row with the first decimal of its u value changed: still a
     well-formed row, but no longer the reference."""

@@ -7,9 +7,15 @@ from icnlab.core import (
     delta1_array,
     delta2_array,
     delta3_array,
-    second_derivative_array,
 )
-from scalar_ops import delta1, delta2, delta3, second_derivative, wrap_index
+from scalar_ops import (
+    delta1,
+    delta2,
+    delta3,
+    second_derivative,
+    second_derivative_array,
+    wrap_index,
+)
 
 
 def state(values):

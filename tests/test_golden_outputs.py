@@ -3,14 +3,14 @@ ga and aa maps of scan_region at its default 241 points, compared with
 SHA-256 digests in golden_outputs.sha256.
 
 The commands cover every output path: stability maps of every variant with
-PGM, and one whose moduli overflow to inf; linear and semilinear sweeps in
-CSV and Markdown; a Burgers sweep with and without a reference cache
-(tables, final-state CSV, trajectory .npy and its .sha256 digest); two
-sweeps in which one scheme diverges and the others do not; and one run per
-scheme and problem.  They are kept small (121-point maps, N <= 400, Burgers
-to t = 0.125 except in the divergence case).  A refactor that changes no
-number leaves every digest as it is.  Rewrite the digests, only when an
-output is meant to change, with
+PGM, one whose moduli overflow to inf and one on negative axes; linear and
+semilinear sweeps in CSV and Markdown; a Burgers sweep with and without a
+reference cache (tables, final-state CSV, trajectory .npy and its .sha256
+digest); two sweeps in which one scheme diverges and the others do not; and
+one run per scheme and problem.  They are kept small (121-point maps,
+N <= 400, Burgers to t = 0.125 except in the divergence case).  A refactor
+that changes no number leaves every digest as it is.  Rewrite the
+digests, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -63,6 +63,13 @@ CASES = {
         ("stability", "--variant", "icn", "--beta-max", "1e200",
          "--resolution", "5", "--out", "{out}/map.csv",
          "--pgm", "{out}/map.pgm")
+    ],
+    # negative theta and beta axes: the 7,260 rows with theta < 0 start
+    # with "-", and beta < 0 puts a sign in mid-row
+    "stability-negative-axes": [
+        ("stability", "--variant", "ga", "--theta-min", "-1", "--theta-max",
+         "1", "--beta-min", "-1.2", "--beta-max", "1.2", "--resolution",
+         "121", "--out", "{out}/map.csv", "--pgm", "{out}/map.pgm")
     ],
     "sweep-linear": _sweeps("linear"),
     "sweep-semilinear": _sweeps("semilinear"),

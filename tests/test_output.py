@@ -13,6 +13,8 @@ from icnlab.analysis import (
 )
 from icnlab.core import Grid1D
 from icnlab.output import (
+    FLOAT_WIDTH,
+    float_bytes,
     format_compact,
     format_float,
     solution_csv,
@@ -30,6 +32,46 @@ def test_format_float_six_significant_digits():
     assert format_float(1.8e-4) == "1.80000e-04"
     assert format_float(-2.905e-4) == "-2.90500e-04"
     assert format_float(0.0) == "0.00000e+00"
+
+
+def kernel_strings(values):
+    """The strings the rows of float_bytes(values) spell."""
+    rows = float_bytes(np.array(values, dtype=float))
+    assert rows.shape == (len(values), FLOAT_WIDTH)
+    return [bytes(row[row != 0]).decode("ascii") for row in rows]
+
+
+# the edges of the kernel's float path: powers of ten and their neighbours,
+# values that round up to the next power, the ends of its range, a
+# subnormal, a signed zero, and an exact tie that rounds to even
+POWERS = [10.0 ** k for k in range(-99, 100)]
+FORMAT_EDGES = [
+    *POWERS,
+    *(math.nextafter(p, 0.0) for p in POWERS),
+    *(math.nextafter(p, math.inf) for p in POWERS),
+    *(0.9999995 * p for p in POWERS),
+    9.999995e98, 1e-99, 5e-324, -0.0, 1234565.0,
+]
+
+
+def test_float_bytes_edges_match_format_float():
+    values = FORMAT_EDGES + [-v for v in FORMAT_EDGES]
+    assert kernel_strings(values) == [format_float(x) for x in values]
+
+
+# values whose six digits round up to the next power of ten
+round_ups = st.builds(lambda f, k: f * 10.0 ** k,
+                      st.floats(0.9999995, 1.0, exclude_max=True),
+                      st.integers(-98, 98))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(FORMAT_EDGES),
+                          st.sampled_from([math.nan, math.inf, -math.inf]),
+                          round_ups),
+                max_size=40))
+def test_float_bytes_match_format_float(values):
+    assert kernel_strings(values) == [format_float(x) for x in values]
 
 
 def test_format_compact_two_significant_digits():
@@ -118,7 +160,7 @@ def test_stability_pgm_layout():
 
 def plain_stability_csv(stability_map):
     """One line per point, each value formatted as it is indexed: the
-    reference for the column-block renderer."""
+    reference for the byte-buffer renderer."""
     lines = ["theta,beta,g_modulus,stable"]
     for j, theta in enumerate(stability_map.theta_axis):
         for i, beta in enumerate(stability_map.beta_axis):
@@ -142,11 +184,12 @@ def plain_stability_pgm(stability_map):
     return "\n".join(lines) + "\n"
 
 
-# values at the edges of the formats: inf, signed zeros, subnormals, and
-# moduli within 1e-12 of 1, on both sides of the stability tolerance
+# values at the edges of the formats: inf, signed zeros, subnormals,
+# moduli within 1e-12 of 1, on both sides of the stability tolerance, and
+# one that rounds up to 1.00000e+00
 EDGES = [math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308, 1.0,
          1.0 + STABILITY_TOLERANCE, math.nextafter(1.0 + STABILITY_TOLERANCE,
-                                                   2.0), 2.0]
+                                                   2.0), 2.0, 1.0 - 4e-7]
 moduli = st.one_of(
     st.sampled_from(EDGES),
     st.floats(1.0 - 1e-12, 1.0 + 1e-12),

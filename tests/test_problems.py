@@ -7,7 +7,6 @@ from icnlab.core import (
     DivergenceError,
     Grid1D,
     delta1_array,
-    second_derivative_array,
 )
 from icnlab.problems import (
     Problem,
@@ -17,6 +16,7 @@ from icnlab.problems import (
     linear_advection,
     semilinear_advection,
 )
+from scalar_ops import second_derivative_array
 
 
 def test_linear_rhs_constant_field():
