@@ -161,7 +161,10 @@ def stability_pgm(stability_map: StabilityMap) -> str:
 
     Width spans the theta axis, height the beta axis, and the top image
     row is beta_max so the picture reads the same way up as the figures.
+    A NaN modulus has no gray level and raises ValueError.
     """
+    if np.isnan(stability_map.modulus).any():
+        raise ValueError("|g| is NaN on this map, which has no gray level")
     clipped = np.minimum(stability_map.modulus, 2.0)
     gray = np.rint(255.0 * clipped / 2.0).astype(int)
     height, width = gray.shape

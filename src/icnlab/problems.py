@@ -63,19 +63,22 @@ class Problem:
         built here, once, so a time-stepping loop calls it without any
         per-call setup.
         """
-        gather = PeriodicShifts(grid.n_cells, rows).gather
+        shifts = PeriodicShifts(grid.n_cells, rows)
         # Each form does the arithmetic of its np.roll statement (core) in
         # the same order, on fresh temporaries updated in place; with d =
         # u_{j+1} - u_{j-1}, -d / (2 dx) is d / (-2 dx) to the bit.  The
-        # constants are 0-d arrays, because numpy converts a Python float
-        # operand on every call, at N = 30 half again the arithmetic's cost.
+        # advection forms need only d, so they take shifts.difference, which
+        # on large grids stacks no neighbour array; Burgers needs both
+        # neighbours for its diffusion term.  The constants are 0-d arrays,
+        # because numpy converts a Python float operand on every call, at
+        # N = 30 half again the arithmetic's cost.
         dx = grid.dx
+        difference = shifts.difference
         if self.kind is ProblemKind.LINEAR_ADVECTION:
             speed, two_dx = np.array(-self.advection_speed), np.array(2.0 * dx)
 
             def linear_rhs(v: np.ndarray) -> np.ndarray:
-                plus, minus = gather(v)
-                out = plus - minus
+                out = difference(v)
                 out *= speed
                 out /= two_dx
                 return out
@@ -85,13 +88,13 @@ class Problem:
         if self.kind is ProblemKind.SEMILINEAR_ADVECTION:
 
             def semilinear_rhs(v: np.ndarray) -> np.ndarray:
-                plus, minus = gather(v)
-                out = plus - minus
+                out = difference(v)
                 out /= minus_two_dx
                 out -= v * v
                 return out
 
             return semilinear_rhs
+        gather = shifts.gather
         half, two = np.array(0.5), np.array(2.0)
         dx2, viscosity = np.array(dx * dx), np.array(self.viscosity)
 

@@ -122,6 +122,27 @@ def test_gather_operators_match_roll_forms(n):
         assert np.array_equal(neighbours[1], np.roll(v, 1, axis=-1))
 
 
+@pytest.mark.parametrize("n, rows", [
+    (4, None), (4, 5), (1023, None), (1024, None), (204, 5), (205, 5),
+])
+def test_difference_matches_delta1(n, rows):
+    # bit for bit on either side of COPY_FROM, with inf and nan at the row
+    # ends, whose entries the slice path redoes, and inside the rows
+    rng = np.random.default_rng(n)
+    shape = (n,) if rows is None else (rows, n)
+    v = rng.standard_normal(shape)
+    v2 = v.reshape(-1, n)
+    v2[0, 0], v2[0, -1], v2[0, n // 2] = np.inf, np.nan, -np.inf
+    v2[-1, 1], v2[-1, -2] = np.nan, np.inf
+    shifts = PeriodicShifts(n, rows)
+    assert copies(shifts) == (v.size >= 1024)
+    with np.errstate(invalid="ignore"):
+        got = shifts.difference(v)
+        expected = [delta1_array(row) for row in v2]
+    assert got.shape == shape
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("op", [delta1_array, delta2_array, delta3_array])
 @pytest.mark.parametrize("shift", [1, 3, 7])
 def test_shift_equivariance_exact(op, shift):

@@ -6,9 +6,10 @@ The commands cover every output path: stability maps of every variant with
 PGM, one whose moduli overflow to inf and one on negative axes; linear and
 semilinear sweeps in CSV and Markdown; a Burgers sweep with and without a
 reference cache (tables, final-state CSV, trajectory .npy and its .sha256
-digest); two sweeps in which one scheme diverges and the others do not; and
-one run per scheme and problem.  They are kept small (121-point maps,
-N <= 400, Burgers to t = 0.125 except in the divergence case).  A refactor
+digest); three sweeps in which some schemes diverge and others do not, one
+of them on grids large enough for the slice path of core.PeriodicShifts;
+and one run per scheme and problem.  They are kept small (121-point maps,
+N <= 410, Burgers to t = 0.125 except in the divergence case).  A refactor
 that changes no number leaves every digest as it is.  Rewrite the
 digests, only when an output is meant to change, with
 
@@ -91,6 +92,13 @@ CASES = {
     "mixed-divergence-burgers": [
         ("sweep", "--problem", "burgers", "--dt-base", "0.09", "--t-final",
          "0.9", "--resolutions", "1,2", "--out", "{out}/t.csv"),
+    ],
+    # semilinear again, on grids of 1024 values and more per rhs call,
+    # where the neighbours come from slices: only theta(0.6) diverges at
+    # N = 205, and every scheme at N = 410
+    "mixed-divergence-semilinear-large": [
+        ("sweep", "--problem", "semilinear", "--cfl", "2.5",
+         "--resolutions", "205,410", "--out", "{out}/t.csv"),
     ],
     "run": [
         ("run", "--problem", problem, "--scheme", scheme, *size, *flags,

@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +158,22 @@ def test_stability_pgm_layout():
     # top image row is beta_max: |g| = 0.5, 2.5 (clipped to 2), 1.0
     assert lines[3] == "64 255 128"
     assert lines[4] == "128 128 128"
+
+
+def test_stability_pgm_rejects_a_nan_modulus():
+    # 2x2, one NaN: the gray level would be cast from NaN
+    modulus = np.array([[1.0, 0.5], [np.nan, 2.5]])
+    stability_map = StabilityMap(
+        variant=SchemeVariant.GA,
+        theta_axis=np.array([0.0, 1.0]),
+        beta_axis=np.array([0.0, 1.0]),
+        modulus=modulus,
+        stable_mask=modulus <= 1.0 + 1e-12,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            stability_pgm(stability_map)
 
 
 def plain_stability_csv(stability_map):

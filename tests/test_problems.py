@@ -135,13 +135,14 @@ def roll_rhs(problem, v, dx):
     problem=st.sampled_from([linear_advection(), linear_advection(-2.5),
                              semilinear_advection(), burgers(),
                              burgers(0.3)]),
-    n=st.sampled_from([4, 5, 30, 129]),
+    n=st.sampled_from([4, 5, 30, 129, 205, 1024]),
     rows=st.sampled_from([None, 1, 5]),
     decades=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_array_rhs_matches_roll_forms(problem, n, rows, decades, seed):
-    # bit for bit, on one row and on K rows, for states of both signs whose
+    # bit for bit, on one row and on K rows, on either side of COPY_FROM
+    # values (1024 in a row, and 205 in five rows), for states of both signs whose
     # magnitudes spread over up to six decades
     rng = np.random.default_rng(seed)
     shape = (n,) if rows is None else (rows, n)

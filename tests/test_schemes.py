@@ -28,6 +28,7 @@ from icnlab.schemes import (
     linear_stencil,
     period_coefficients,
 )
+from scalar_ops import second_derivative_array
 
 LINEAR = linear_advection()
 ICN = SchemeConfig.icn()
@@ -546,3 +547,29 @@ def test_order_condition_oracle(scheme, parity):
     fitted = (step[0] - 1.0 / (1.0 + dt)) / (2.0 * dt * dt)
     c2, _ = period_coefficients(scheme.variant, scheme.p)[parity]
     assert abs(fitted - (c2 - 0.5)) <= 1e-3
+
+
+def test_ga_minus_icn_third_order_oracle():
+    # Burgers is nonlinear, so this tells averaging the states, as _step
+    # does, from averaging the right-hand sides, which gives the same step
+    # on any linear L.  Read as a Runge-Kutta method (schemes docstring),
+    # a step with c2 = 1/2 is u + dt f + dt^2 J f / 2 + dt^3 (c3 J J f +
+    # f''(f, f) / 8) + O(dt^4), J the Jacobian of L at u; ga and icn differ
+    # only in c3, theta1 / 2 against 1/4.  For Burgers J v = -d1(u v) /
+    # (2 dx) + nu v_xx.  The rhs-averaging step misses by about 20%; below
+    # dt of about 5e-5 round-off in the difference of two steps dominates
+    grid = Grid1D(30)
+    problem = burgers()
+    u = initial_condition(grid)
+    theta1, dt = 0.6, 1e-4
+
+    def jacobian(v):
+        return (-delta1_array(u * v) / (2.0 * grid.dx)
+                + problem.viscosity * second_derivative_array(v, grid.dx))
+
+    got = (SchemeConfig.ga(theta1).step(u, problem.rhs, dt)
+           - ICN.step(u, problem.rhs, dt))
+    expected = ((theta1 / 2.0 - 0.25) * dt ** 3
+                * jacobian(jacobian(problem.rhs(u))))
+    # 2.6e-4 measured: the O(dt^4) remainder
+    assert np.abs(got - expected).max() <= 1e-3 * np.abs(expected).max()
