@@ -142,8 +142,8 @@ def roll_rhs(problem, v, dx):
 )
 def test_array_rhs_matches_roll_forms(problem, n, rows, decades, seed):
     # bit for bit, on one row and on K rows, on either side of COPY_FROM
-    # values (1024 in a row, and 205 in five rows), for states of both signs whose
-    # magnitudes spread over up to six decades
+    # values (1024 in a row, and 205 in five rows), for states of both
+    # signs whose magnitudes spread over up to six decades
     rng = np.random.default_rng(seed)
     shape = (n,) if rows is None else (rows, n)
     v = rng.standard_normal(shape) * 10.0 ** rng.uniform(

@@ -556,8 +556,9 @@ def test_ga_minus_icn_third_order_oracle():
     # a step with c2 = 1/2 is u + dt f + dt^2 J f / 2 + dt^3 (c3 J J f +
     # f''(f, f) / 8) + O(dt^4), J the Jacobian of L at u; ga and icn differ
     # only in c3, theta1 / 2 against 1/4.  For Burgers J v = -d1(u v) /
-    # (2 dx) + nu v_xx.  The rhs-averaging step misses by about 20%; below
-    # dt of about 5e-5 round-off in the difference of two steps dominates
+    # (2 dx) + nu v_xx, v_xx by the rhs's three-point difference.  The
+    # rhs-averaging step misses by about 20%; below dt of about 5e-5
+    # round-off in the difference of two steps dominates
     grid = Grid1D(30)
     problem = burgers()
     u = initial_condition(grid)
