@@ -78,49 +78,35 @@ def delta3_array(values: np.ndarray) -> np.ndarray:
     )
 
 
-# Values per call from which PeriodicShifts works on slices rather than
-# gathering by index: on a 2-vCPU Xeon VM the two cost the same at about
-# 1000 to 1500 values (timings in ROADMAP).
-COPY_FROM = 1024
-
-
 class PeriodicShifts:
     """The periodic neighbours j + 1 and j - 1 along the last axis of values
     of shape (n,) or, with ``rows``, (rows, n).
 
     ``gather(values)`` stacks the two neighbours on a new first axis:
     ``[np.roll(values, -1), np.roll(values, 1)]`` for one row, and the same
-    row by row for (rows, n), in a fresh array.  ``difference(values)`` is
-    their difference, ``delta1_array`` row by row, in a fresh array.  Below
-    COPY_FROM values both gather through an index built once.  From there
-    on ``gather`` copies four slices, and ``difference`` subtracts two
-    slices of the flat C-ordered values and then redoes the first and last
-    entry of each row, which that subtraction takes across a row end.  Each
-    path gives the same bits, and the right-hand sides do the arithmetic of
-    the np.roll forms above on them in the same order.
+    row by row for (rows, n), in a fresh array, through an index built
+    once.  ``difference(values)`` is their difference, ``delta1_array`` row
+    by row, in a fresh array, with no neighbour array stacked: it subtracts
+    two slices of the flat C-ordered values and then redoes the first and
+    last entry of each row, which that subtraction takes across a row end.
+    Both give the np.roll forms' bits, and the right-hand sides do the
+    arithmetic of those forms on them in the same order.
     """
 
     def __init__(self, n: int, rows: int | None = None):
         self.rows = rows
-        if n * (rows or 1) >= COPY_FROM:
-            self.gather = self._copy
-            self.difference = self._flat_difference
-            # in the flat values, the first and last entry of each row, and
-            # their wrapped neighbours j + 1 and j - 1
-            first = n * np.arange(rows or 1)
-            last = first + n - 1
-            self.ends = np.concatenate((first, last))
-            self.ends_plus = np.concatenate((first + 1, first))
-            self.ends_minus = np.concatenate((last, last - 1))
-            return
         j = np.arange(n)
         # rows j + 1 and j - 1, wrapped
         index = np.concatenate((j[1:], j[:1], j[-1:], j[:-1])).reshape(2, n)
+        # the first and last entry of a row, then their j + 1, then j - 1
+        ends = np.array([[0, n - 1], [1, 0], [n - 1, n - 2]])
         if rows is not None:
             # into the raveled C-ordered rows: one flat gather, cheaper
             # than values[..., index]
             index = index[:, None, :] + n * np.arange(rows)[:, None]
+            ends = (ends[:, :, None] + n * np.arange(rows)).reshape(3, -1)
         self.index = index
+        self.ends, self.ends_plus, self.ends_minus = ends
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """(values at j + 1, values at j - 1), shape (2,) + values.shape."""
@@ -129,20 +115,6 @@ class PeriodicShifts:
 
     def difference(self, values: np.ndarray) -> np.ndarray:
         """values at j + 1 minus values at j - 1, shape values.shape."""
-        plus, minus = self.gather(values)
-        return plus - minus
-
-    def _copy(self, values: np.ndarray) -> np.ndarray:
-        """gather, by four slice copies."""
-        out = np.empty((2,) + values.shape, values.dtype)
-        out[0, ..., :-1] = values[..., 1:]
-        out[0, ..., -1] = values[..., 0]
-        out[1, ..., 1:] = values[..., :-1]
-        out[1, ..., 0] = values[..., -1]
-        return out
-
-    def _flat_difference(self, values: np.ndarray) -> np.ndarray:
-        """difference, by one subtraction over the flat values."""
         flat = values.ravel()
         out = np.empty_like(flat)
         np.subtract(flat[2:], flat[:-2], out=out[1:-1])

@@ -68,10 +68,10 @@ class Problem:
         # the same order, on fresh temporaries updated in place; with d =
         # u_{j+1} - u_{j-1}, -d / (2 dx) is d / (-2 dx) to the bit.  The
         # advection forms need only d, so they take shifts.difference, which
-        # on large grids stacks no neighbour array; Burgers needs both
-        # neighbours for its diffusion term.  The constants are 0-d arrays,
-        # because numpy converts a Python float operand on every call, at
-        # N = 30 half again the arithmetic's cost.
+        # stacks no neighbour array; Burgers needs both neighbours for its
+        # diffusion term.  The constants are 0-d arrays, because numpy
+        # converts a Python float operand on every call, at N = 30 half
+        # again the arithmetic's cost.
         dx = grid.dx
         difference = shifts.difference
         if self.kind is ProblemKind.LINEAR_ADVECTION:

@@ -7,8 +7,8 @@ PGM, one whose moduli overflow to inf and one on negative axes; linear and
 semilinear sweeps in CSV and Markdown; a Burgers sweep with and without a
 reference cache (tables, final-state CSV, trajectory .npy and its .sha256
 digest); three sweeps in which some schemes diverge and others do not, one
-of them on grids large enough for the slice path of core.PeriodicShifts;
-and one run per scheme and problem.  They are kept small (121-point maps,
+of them on five rows of N = 205 and 410; and one run per scheme and
+problem.  They are kept small (121-point maps,
 N <= 410, Burgers to t = 0.125 except in the divergence case).  A refactor
 that changes no number leaves every digest as it is.  Rewrite the
 digests, only when an output is meant to change, with

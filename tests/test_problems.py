@@ -119,7 +119,7 @@ def test_problem_validation():
 
 def roll_rhs(problem, v, dx):
     """L(v) for one row as the plain np.roll statement of each problem: the
-    oracle for the gather forms of array_rhs."""
+    oracle for array_rhs."""
     if problem.kind is ProblemKind.LINEAR_ADVECTION:
         return -problem.advection_speed * delta1_array(v) / (2.0 * dx)
     if problem.kind is ProblemKind.SEMILINEAR_ADVECTION:
@@ -141,9 +141,9 @@ def roll_rhs(problem, v, dx):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_array_rhs_matches_roll_forms(problem, n, rows, decades, seed):
-    # bit for bit, on one row and on K rows, on either side of COPY_FROM
-    # values (1024 in a row, and 205 in five rows), for states of both
-    # signs whose magnitudes spread over up to six decades
+    # bit for bit, on one row and on K rows, from 4 to 5 * 1024 values per
+    # call, for states of both signs whose magnitudes spread over up to six
+    # decades
     rng = np.random.default_rng(seed)
     shape = (n,) if rows is None else (rows, n)
     v = rng.standard_normal(shape) * 10.0 ** rng.uniform(
