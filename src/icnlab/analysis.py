@@ -10,17 +10,22 @@ produced:
     against a fine-step reference run after every step, and reports the
     running mean of each norm ("norm in time").
 
-The Burgers reference is one ICN integration at dt_fine, and the library
+The Burgers reference is one ICN integration at dt_fine, run in one batch
+with every cell of the sweep (_burgers_batch): each cell step ends on a
+fine step, so the reference is row 0 of one run on the fine clock and
+each divisor's cells follow as rows that step only when due.  The library
 keeps no state between calls: without a cache directory every call
-integrates it.  With one, a sweep's trajectory is persisted as
+integrates the reference.  With one, a sweep's trajectory is persisted as
 ``burgers-ref-...-every<cadence>.npy``, the one file read back, so a warm
-cache integrates nothing.  The SHA-256 of its states is written beside it
-as ``...-every<cadence>.sha256``, and a trajectory without a matching
-digest is integrated again and both files rewritten, the digest last.  The
-final state is written next to them as ``burgers-ref-....csv``, an output
+cache integrates nothing and its cells run on the finest divisor's
+clock.  The SHA-256 of its states is written beside it as
+``...-every<cadence>.sha256``, and a trajectory without a matching digest
+is integrated again and both files rewritten, the digest last, after the
+batch and before any table.  The final state is written next to them as ``burgers-ref-....csv``, an output
 derived from the trajectory's last row that is never read; it is rewritten
 unless it already holds exactly those bytes.  ``burgers_reference``, the
-final state alone, reads and writes no file.
+final state alone, is the same batch with the reference row alone; it
+reads and writes no file.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid1D, ParameterError
+from .core import DivergenceError, Grid1D, ParameterError
 from .problems import (
     VISCOSITY,
     Problem,
@@ -40,7 +45,7 @@ from .problems import (
     burgers,
     initial_condition,
 )
-from .schemes import SchemeConfig, _run, integrate
+from .schemes import SchemeConfig, _run
 
 
 @dataclass(frozen=True)
@@ -308,22 +313,109 @@ class _MeanNorms:
                             for total in self.sums[:, row]))
 
 
-def _integrate_reference(
-    grid: Grid1D, dt_fine: float, steps: int, viscosity: float, cadence: int
-) -> np.ndarray:
-    """ICN states every ``cadence`` of ``steps`` fine steps, one per row.
+class _Cells:
+    """The K scheme rows of one dt divisor in a Burgers batch.
 
-    The observer copies only the states it keeps; a step that is not
-    finite raises DivergenceError with its index.
+    Each of the cells' own steps is compared with the reference state at
+    its time, a block of at most BLOCK states at a time, into the running
+    mean of each row's norms.  _burgers_batch places the rows (start, end)
+    and the reference states they are compared with (targets); after it,
+    ``results`` holds, per scheme, its norms, or None and the step at which
+    it stopped being finite.
     """
-    states = np.empty((steps // cadence, grid.n_cells))
 
-    def keep(i: int, u: np.ndarray) -> None:
-        if (i + 1) % cadence == 0:
-            states[i // cadence] = u
+    def __init__(self, spec: SweepSpec, divisor: int):
+        self.schemes = spec.schemes
+        self.dt = spec.dt(divisor)
+        self.steps = steps_for(spec.t_final, self.dt)
+        # fine steps of the reference per step of these cells
+        self.spacing = REFERENCE_DIVISOR // divisor
+        rows = len(self.schemes)
+        self.mean = _MeanNorms(Grid1D(spec.n_cells).dx, rows)
+        self.block = np.empty((min(BLOCK, self.steps), rows, spec.n_cells))
+        self.taken = 0
 
-    integrate(initial_condition(grid), SchemeConfig.icn(),
-              burgers(viscosity).rhs, dt_fine, steps, keep)
+    def observe(self, u: np.ndarray) -> None:
+        """Keep the cells' rows of the batch after their next step."""
+        self.block[self.taken % BLOCK] = u[self.start:self.end]
+        self.taken += 1
+        if self.taken % BLOCK == 0:
+            self.reduce(self.taken)
+
+    def reduce(self, end: int) -> None:
+        start = (end - 1) // BLOCK * BLOCK
+        self.mean.add(self.block[:end - start] - self.targets[start:end])
+
+    def finish(self, diverged_at: np.ndarray) -> None:
+        if self.steps % BLOCK:
+            # a batch that ended early did so because every row diverged,
+            # and diverged rows' norms are dropped below
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.reduce(self.steps)
+        self.results = [
+            (None, int(step)) if step >= 0 else (self.mean.result(k), None)
+            for k, step in enumerate(diverged_at[self.start:self.end])
+        ]
+
+
+def _burgers_batch(
+    grid: Grid1D,
+    dt_fine: float,
+    steps: int,
+    viscosity: float,
+    cadence: int,
+    states: np.ndarray | None = None,
+    cells: tuple[_Cells, ...] = (),
+) -> np.ndarray:
+    """The ICN reference and the cells as the rows of one run (_run).
+
+    With ``states`` None, the reference is row 0, integrated for ``steps``
+    fine steps and kept every ``cadence`` of them into fresh states; its
+    fine step is the clock.  Otherwise ``states`` is the reference every
+    ``cadence`` fine steps, and the clock is that step.  The cells follow,
+    finest first, each taking a step when its spacing in fine steps ends
+    on the clock, and so at a time at which the reference state is kept.
+    Every row's arithmetic is its own, so each holds the bits it would
+    alone.  Returns the states; a reference step that is not finite
+    raises DivergenceError with its index.
+    """
+    cold = states is None
+    per_clock = 1 if cold else cadence  # fine steps per clock step
+    schemes, dts, strides = [], [], []
+    if cold:
+        states = np.empty((steps // cadence, grid.n_cells))
+        schemes, dts, strides = [SchemeConfig.icn()], [dt_fine], [1]
+    cells = sorted(cells, key=lambda group: group.spacing)
+    for group in cells:
+        rows = len(group.schemes)
+        group.start, group.end = len(schemes), len(schemes) + rows
+        sample = group.spacing // cadence
+        group.targets = states[sample - 1::sample, None]
+        schemes += group.schemes
+        dts += [group.dt] * rows
+        strides += [group.spacing // per_clock] * rows
+
+    def observe(i: int, u: np.ndarray) -> None:
+        # u holds the rows stepped at i, the reference first
+        if cold and (i + 1) % cadence == 0:
+            states[i // cadence] = u[0]
+        for group in cells:
+            if group.end > len(u):
+                break
+            group.observe(u)
+
+    problem = burgers(viscosity)
+    _, diverged_at = _run(
+        np.tile(initial_condition(grid), (len(schemes), 1)), schemes,
+        lambda m: problem.array_rhs(grid, m), dts,
+        range(steps // per_clock), observe, strides,
+    )
+    if cold and diverged_at[0] >= 0:
+        step = int(diverged_at[0])
+        raise DivergenceError(f"step diverged at step {step}",
+                              step_index=step)
+    for group in cells:
+        group.finish(diverged_at)
     return states
 
 
@@ -390,15 +482,18 @@ def _reference_trajectory(
     viscosity: float,
     cadence: int,
     cache_dir: str | Path | None = None,
+    cells: tuple[_Cells, ...] = (),
 ) -> np.ndarray:
     """ICN reference states every ``cadence`` fine steps up to t_final,
-    integrated, or read from and written to ``cache_dir`` as the module
-    docstring describes."""
+    integrated in one batch with ``cells`` (_burgers_batch), or read from
+    and written to ``cache_dir`` as the module docstring describes; on a
+    read, the cells run alone."""
     steps = steps_for(t_final, dt_fine)
     if steps % cadence != 0:
         raise ValueError("reference cadence does not divide the step count")
+    args = (grid, dt_fine, steps, viscosity, cadence)
     if cache_dir is None:
-        return _integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+        return _burgers_batch(*args, None, cells)
     name = (
         f"burgers-ref-n{grid.n_cells}-t{t_final!r}-dt{dt_fine!r}"
         f"-nu{viscosity!r}"
@@ -406,13 +501,15 @@ def _reference_trajectory(
     path = Path(cache_dir) / f"{name}-every{cadence}.npy"
     states = _read_trajectory(path, (steps // cadence, grid.n_cells))
     if states is None:
-        states = _integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+        states = _burgers_batch(*args, None, cells)
         # the digest goes last: a trajectory replaced without it is a miss,
         # never a hit
         _write_atomic(path, lambda handle: np.save(handle, states))
         digest = _states_digest(states)
         _write_atomic(path.with_suffix(".sha256"),
                       lambda handle: handle.write(digest))
+    elif cells:
+        _burgers_batch(*args, states, cells)
     csv = path.with_name(f"{name}.csv")
     content = _final_state_csv(grid, states[-1])
     if not (csv.is_file() and csv.read_bytes() == content):
@@ -435,57 +532,32 @@ def burgers_reference(
     if t_final == 0.0:
         return initial_condition(grid)
     steps = steps_for(t_final, dt_fine)
-    (final,) = _integrate_reference(grid, dt_fine, steps, viscosity, steps)
+    (final,) = _burgers_batch(grid, dt_fine, steps, viscosity, steps)
     return final
 
 
 def _resolution_cells(
-    spec: SweepSpec,
-    resolution: int,
-    reference: np.ndarray | None,
-    sample_lcm: int | None,
+    spec: SweepSpec, resolution: int
 ) -> list[tuple[NormTriple | None, int | None]]:
-    """Norms and first non-finite step of every scheme at one resolution.
+    """Norms and first non-finite step of every scheme at one advection
+    grid size, against the exact solution at t_final.
 
     The schemes share the grid and dt here, so they run together as the
     rows of one (K, N) state; a diverged row has no norms.
     """
-    grid = Grid1D(spec.n_cells if spec.is_burgers else resolution)
+    grid = Grid1D(resolution)
     dt = spec.dt(resolution)
-    steps = steps_for(spec.t_final, dt)
     rows = len(spec.schemes)
     u0 = np.tile(initial_condition(grid), (rows, 1))
     f = spec.problem.array_rhs(grid, rows)
+    final, diverged_at = _run(u0, spec.schemes, f, dt,
+                              range(steps_for(spec.t_final, dt)))
+    exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
+    # the snapshot is the mean over the one final state; diverged rows hold
+    # inf and nan, and their norms are dropped below
     mean = _MeanNorms(grid.dx, rows)
-    if spec.is_burgers:
-        # the mean over every step against the reference state at its time,
-        # reduced a block of at most BLOCK states at a time
-        stride = sample_lcm // resolution
-        targets = reference[stride - 1::stride, None]
-        block = np.empty((min(BLOCK, steps), rows, grid.n_cells))
-
-        def add_block(end: int) -> None:
-            start = (end - 1) // BLOCK * BLOCK
-            mean.add(block[:end - start] - targets[start:end])
-
-        def observe(i: int, u: np.ndarray) -> None:
-            block[i % BLOCK] = u
-            if i % BLOCK == BLOCK - 1:
-                add_block(i + 1)
-
-        _, diverged_at = _run(u0, spec.schemes, f, dt, range(steps), observe)
-        if steps % BLOCK:
-            # a run that ended early did so because every row diverged,
-            # and diverged rows' norms are dropped below
-            with np.errstate(over="ignore", invalid="ignore"):
-                add_block(steps)
-    else:
-        # the snapshot is the mean over the one final state
-        final, diverged_at = _run(u0, spec.schemes, f, dt, range(steps))
-        exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
-        # diverged rows hold inf and nan; their norms are dropped below
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean.add((final - exact)[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean.add((final - exact)[None])
     return [
         (None, int(step)) if step >= 0 else (mean.result(k), None)
         for k, step in enumerate(diverged_at)
@@ -531,22 +603,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     sweep continues.  Batches run one after another in a fixed order, so
     tables are deterministic.
     """
-    reference = None
-    sample_lcm = None
     if spec.is_burgers:
-        sample_lcm = math.lcm(*spec.resolutions)
-        reference = _reference_trajectory(
+        cells = [_Cells(spec, divisor) for divisor in spec.resolutions]
+        _reference_trajectory(
             Grid1D(spec.n_cells),
             spec.reference_dt,
             spec.t_final,
             spec.problem.viscosity,
-            REFERENCE_DIVISOR // sample_lcm,
+            REFERENCE_DIVISOR // math.lcm(*spec.resolutions),
             spec.cache_dir,
+            tuple(cells),
         )
-    by_resolution = [
-        _resolution_cells(spec, r, reference, sample_lcm)
-        for r in spec.resolutions
-    ]
+        by_resolution = [group.results for group in cells]
+    else:
+        by_resolution = [_resolution_cells(spec, r) for r in spec.resolutions]
     tables = tuple(
         SchemeTable(
             scheme,

@@ -34,10 +34,12 @@ z = -2i beta, the stability polynomial rather than the Courant number
 theta > 1/2 (the stability module docstring).
 
 One loop, ``_run``, advances every step; its docstring says how the rows
-of a batch each take their own scheme and how divergence is recorded.
-``_run_row`` is its one-row case, which ``integrate`` and SchemeConfig.step
-call: a state is a plain array of N nodal values, and a step that is not
-finite raises DivergenceError with that step.
+of a batch each take their own scheme, dt and stride, so that rows of
+different time steps share one clock (the Burgers sweep), and how
+divergence is recorded.  ``_run_row`` is its one-row case, which
+``integrate`` and SchemeConfig.step call: a state is a plain array of N
+nodal values, and a step that is not finite raises DivergenceError with
+that step.
 """
 from __future__ import annotations
 
@@ -263,59 +265,104 @@ class SchemeConfig:
 def _run(
     u: np.ndarray,
     schemes: Sequence[SchemeConfig],
-    f: ArrayOperator,
-    dt: float,
+    f,
+    dt,
     steps: range,
     observer: Callable[[int, np.ndarray], None] | None = None,
+    strides: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The steps numbered ``steps`` from u, row k by schemes[k], through
-    the step kernel.
+    """The steps numbered ``steps`` from u, row k by schemes[k] with time
+    step dt (one float, or one per row), through the step kernel.
 
     ``u`` is one row of shape (N,) with one scheme, or K rows of shape
     (K, N) with K schemes, and ``f`` acts on that shape.  Each factor of
     the step holds row k's value in row k, one set per step parity, so
-    every row takes its own scheme's weights and an aa row flips its weight
-    each step.  ``observer(i, u)`` sees all rows after step i.
+    every row takes its own scheme's weights and dt, and an aa row flips
+    its weight at each of its own steps.  ``observer(i, u)`` sees the rows
+    stepped at step i.
 
-    Returns the final state and, per row, the index of the first step whose
-    output is not finite, or -1 for a row that stayed finite.  Every
-    operation acts within a row, so a row that stops being finite leaves
-    the others unchanged; the loop ends once every row has done so.
+    With ``strides``, the steps are a clock on which row k steps only when
+    strides[k] divides i + 1, as its own step (i + 1) / strides[k] - 1.
+    The rows due at a step must be a prefix u[:m] (ascending strides, each
+    dividing the next), and only they are stepped, by f(m), the rhs on m
+    rows: f is then called once per prefix length to build it.
+
+    Returns the final state and, per row, the index of the first of its
+    own steps whose output is not finite, or -1 for a row that stayed
+    finite.  Every operation acts within a row, so a row that stops being
+    finite leaves the others unchanged; the loop ends once every row has
+    done so.
     """
-    # Every factor of _step is an array of u's shape, row k holding
-    # schemes[k]'s value: numpy converts a Python float operand on every
+    rows, n = len(schemes), u.shape[-1]
+    stride = [1] * rows if strides is None else list(strides)
+    if stride[0] != 1 or any(b % a for a, b in zip(stride, stride[1:])):
+        raise ValueError("strides must start at 1, each dividing the next")
+    # Every factor of _step is an array of the stepped rows' shape, row k
+    # holding its own value: numpy converts a Python float operand on every
     # call, and broadcasts a (K, 1) column into an in-place product at about
     # twice the cost, both more than the arithmetic at N = 30.  _factors
-    # computes the values in floats, and they are spread along the rows at
-    # once: (parity, factor, [K,] N).
+    # computes the values in floats: (parity, row, factor).
+    dts = np.broadcast_to(dt, rows).tolist()
     table = np.array([
-        [_factors(dt, *scheme.weights(parity)) for scheme in schemes]
+        [_factors(row_dt, *scheme.weights(parity))
+         for scheme, row_dt in zip(schemes, dts)]
         for parity in (0, 1)
-    ]).transpose(0, 2, 1)
-    spread = np.repeat(table, u.shape[-1], axis=-1)
-    by_parity = [tuple(c) for c in spread.reshape((2, 6) + u.shape)]
+    ])
+    # The rows due at step i are those whose stride divides i + 1, and each
+    # takes the parity of its own step; both repeat every 2 stride[-1]
+    # steps.  One entry (m, rhs, factors) per step of that period, each rhs
+    # and set of factors built once, in Python ints: an integer ufunc run
+    # for the first time faults in its code, 128 KB of resident memory
+    period = 2 * stride[-1]
+    runs = {s: stride.count(s) for s in stride}
+    by_rows, factors, schedule = {}, {}, []
+    for k in range(1, period + 1):
+        parity = ()
+        for s, count in runs.items():
+            if k % s:
+                break
+            parity += ((k // s - 1) % 2,) * count
+        m = len(parity)
+        if parity not in factors:
+            spread = np.repeat(table[parity, np.arange(m)].T, n, axis=-1)
+            factors[parity] = tuple(spread.reshape(
+                (6,) + (m,) * (u.ndim - 1) + (n,)))
+        if m not in by_rows:
+            by_rows[m] = f if strides is None else f(m)
+        schedule.append((m, by_rows[m], factors[parity]))
+    if min(by_rows) < rows:
+        u = u.copy()  # the prefix steps write into it
     diverged_at = np.full(u.shape[:-1], -1)
     # a blow-up is reported through diverged_at, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in steps:
+            m, rhs, step_factors = schedule[i % period]
             try:
-                u = _step(u, f, *by_parity[i % 2])
+                if m == rows:
+                    u = stepped = _step(u, rhs, *step_factors)
+                else:
+                    stepped = u[:m]
+                    stepped[...] = _step(stepped, rhs, *step_factors)
             except DivergenceError:
-                # raised by an f that checks its input, as Problem.rhs does
-                diverged_at[diverged_at < 0] = i
+                # raised by an f that checks its input, as Problem.rhs
+                # does: every row that has not diverged stops at the step it
+                # was due to take
+                own = -(-(i + 1) // np.reshape(stride, u.shape[:-1])) - 1
+                diverged_at = np.where(diverged_at < 0, own, diverged_at)
                 break
             # a non-finite intermediate always reaches the step's output,
             # so one check per step finds the step where it first appears.
             # A finite sum means every entry is finite; only when the sum
             # is not (an overflowing sum of finite entries too) are the
             # rows told apart
-            if not math.isfinite(np.add.reduce(u, None)):
-                finite = np.isfinite(u).all(axis=-1)
-                diverged_at[~finite & (diverged_at < 0)] = i
+            if not math.isfinite(np.add.reduce(stepped, None)):
+                own = (i + 1) // np.reshape(stride, u.shape[:-1]) - 1
+                fresh = ~np.isfinite(u).all(axis=-1) & (diverged_at < 0)
+                diverged_at = np.where(fresh, own, diverged_at)
                 if (diverged_at >= 0).all():
                     break
             if observer is not None:
-                observer(i, u)
+                observer(i, stepped)
     return u, diverged_at
 
 

@@ -27,15 +27,17 @@ def burgers_t1_states():
 def burgers_cache(tmp_path_factory, burgers_t1_states):
     """A reference cache directory that the default Burgers sweeps at dt
     divisors (1, 2, 4, 8) and (1, 2) read, written by the library from
-    ``burgers_t1_states`` and its every 4th row.  A fine step's state does
-    not depend on the cadence, so the sweeps read the bits they would
+    ``burgers_t1_states`` and its every 4th row, in place of the batch that
+    would integrate the reference alone.  A fine step's state does not
+    depend on the cadence, so the sweeps read the bits they would
     integrate."""
-    def strided(grid, dt_fine, steps, viscosity, cadence):
+    def strided(grid, dt_fine, steps, viscosity, cadence, states, cells):
+        assert states is None and not cells
         return burgers_t1_states[cadence // 4 - 1::cadence // 4]
 
     cache = tmp_path_factory.mktemp("burgers-reference")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_integrate_reference", strided)
+        patch.setattr(analysis, "_burgers_batch", strided)
         for cadence in (4, 16):
             analysis._reference_trajectory(*REFERENCE_ARGS, cadence, cache)
     return cache

@@ -174,15 +174,18 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
 
 
 def count_integrations(monkeypatch):
-    """Record the fine step of every reference integration."""
+    """Record the fine step of every reference integration: every batch
+    that is not given the reference's states."""
     calls = []
-    integrate_reference = analysis._integrate_reference
+    batch = analysis._burgers_batch
 
-    def counting(grid, dt_fine, steps, viscosity, cadence):
-        calls.append(dt_fine)
-        return integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+    def counting(grid, dt_fine, steps, viscosity, cadence, states=None,
+                 cells=()):
+        if states is None:
+            calls.append(dt_fine)
+        return batch(grid, dt_fine, steps, viscosity, cadence, states, cells)
 
-    monkeypatch.setattr(analysis, "_integrate_reference", counting)
+    monkeypatch.setattr(analysis, "_burgers_batch", counting)
     return calls
 
 
@@ -486,6 +489,46 @@ def test_run_sweep_burgers_blocks_match_per_cell_oracle(dt_base, steps):
         assert any(step % BLOCK for step in diverged)
     else:
         assert diverged == []
+
+
+def assert_matches_per_cell(spec, result):
+    """Every cell of a sweep's result equals the per-cell oracle, bit for
+    bit; returns the (label, resolution) of the cells that diverged."""
+    diverged = []
+    for scheme, table in zip(spec.schemes, result.tables):
+        for resolution, row in zip(spec.resolutions, table.rows):
+            norms, step = per_cell(spec, scheme, resolution)
+            got = None if row.norms is None else (
+                row.norms.l1, row.norms.l2, row.norms.linf)
+            assert (got, row.diverged_at) == (norms, step), (
+                scheme.label(), resolution)
+            if step is not None:
+                diverged.append((scheme.label(), resolution))
+    return diverged
+
+
+@pytest.mark.parametrize("dt_divisors", [(1, 4, 32), (2, 8)])
+def test_run_sweep_burgers_batch_matches_per_cell_oracle(
+    tmp_path, monkeypatch, dt_divisors
+):
+    # one batch steps the reference and every divisor's cells on the fine
+    # clock, each row only when it is due; with gaps between the divisors
+    # the coarsest due divisor's own step may be even while every finer
+    # due row is at an odd one, so aa's parity is per row.  Divisor 32
+    # steps with the reference at every fine step.  The warm rerun reads
+    # the reference from the cache and runs on the finest divisor's clock.
+    # Only theta(0.6) diverges, at divisor 1 (as in the golden case)
+    spec = burgers_sweep(default_schemes() + [SchemeConfig.aa(0.3)],
+                         dt_divisors=dt_divisors, t_final=0.9,
+                         dt_base=0.09, cache_dir=tmp_path)
+    calls = count_integrations(monkeypatch)
+    for run, integrations in (("cold", 1), ("warm", 0)):
+        calls.clear()
+        result = run_sweep(spec)
+        assert calls == [spec.reference_dt] * integrations, run
+        diverged = assert_matches_per_cell(spec, result)
+        expected = [("theta(0.6)", 1)] if 1 in dt_divisors else []
+        assert diverged == expected, run
 
 
 def default_schemes():

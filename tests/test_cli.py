@@ -244,15 +244,17 @@ def test_sweep_burgers_cache_dir(tmp_path):
 
 def count_integrations(monkeypatch):
     """Record the fine step, step count and cadence of every reference
-    integration."""
+    integration: every batch that is not given the reference's states."""
     calls = []
-    integrate_reference = analysis._integrate_reference
+    batch = analysis._burgers_batch
 
-    def counting(grid, dt_fine, steps, viscosity, cadence):
-        calls.append((dt_fine, steps, cadence))
-        return integrate_reference(grid, dt_fine, steps, viscosity, cadence)
+    def counting(grid, dt_fine, steps, viscosity, cadence, states=None,
+                 cells=()):
+        if states is None:
+            calls.append((dt_fine, steps, cadence))
+        return batch(grid, dt_fine, steps, viscosity, cadence, states, cells)
 
-    monkeypatch.setattr(analysis, "_integrate_reference", counting)
+    monkeypatch.setattr(analysis, "_burgers_batch", counting)
     return calls
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -574,3 +576,45 @@ def test_ga_minus_icn_third_order_oracle():
                 * jacobian(jacobian(problem.rhs(u))))
     # 2.6e-4 measured: the O(dt^4) remainder
     assert np.abs(got - expected).max() <= 1e-3 * np.abs(expected).max()
+
+
+@pytest.fixture(scope="module")
+def burgers_orders():
+    """Burgers to t = 0.2 on N = 30 at dt = dx^2 / (2 d), d = 1, 2, 4, 8, by
+    icn, ga(0.4), ga(0.6), ga(0.8), theta(0.6) and swapped(0.6): the
+    final states per d, one batch of six rows each (at most 2880 steps)."""
+    grid = Grid1D(30)
+    schemes = [ICN, SchemeConfig.ga(0.4), SchemeConfig.ga(0.6),
+               SchemeConfig.ga(0.8), SchemeConfig.theta_icn(0.6),
+               SchemeConfig.swapped_theta_icn(0.6)]
+    finals = []
+    for d in (1, 2, 4, 8):
+        dt = grid.dx ** 2 / (2 * d)
+        final, diverged_at = _run(
+            np.tile(initial_condition(grid), (len(schemes), 1)), schemes,
+            burgers().array_rhs(grid, len(schemes)), dt,
+            range(round(0.2 / dt)),
+        )
+        assert (diverged_at == -1).all()
+        finals.append(final)
+    return finals
+
+
+@pytest.mark.parametrize("difference, order", [
+    # ga's error is affine in theta1 at order dt^2: the residual of the
+    # midpoint is the dt^3 term, 1.89e-10 at d = 1 to 3.78e-13 at d = 8
+    (lambda icn, g4, g6, g8, theta, swapped: g6 - (g4 + g8) / 2.0, 3),
+    # theta's and swapped's first-order errors, +-(theta - 1/2), cancel in
+    # their mean: 6.1e-7 to 9.5e-9
+    (lambda icn, g4, g6, g8, theta, swapped: (theta + swapped) / 2.0 - icn,
+     2),
+    # and theta alone is first order: 1.9e-4 to 2.4e-5
+    (lambda icn, g4, g6, g8, theta, swapped: theta - icn, 1),
+], ids=["ga-affine-in-theta1", "theta-swapped-mirror", "theta-first-order"])
+def test_burgers_global_orders(burgers_orders, difference, order):
+    # ROADMAP item 4's global tests: the paper's order claims on the
+    # nonlinear problem, with no reference solution; each halving of dt
+    # divides the max norm by 2^order (measured within 0.03 of it)
+    norms = [np.abs(difference(*final)).max() for final in burgers_orders]
+    rates = [math.log2(a / b) for a, b in zip(norms, norms[1:])]
+    assert rates == pytest.approx([order] * 3, abs=0.1), rates
