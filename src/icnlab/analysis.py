@@ -21,11 +21,11 @@ cache integrates nothing and its cells run on the finest divisor's
 clock.  The SHA-256 of its states is written beside it as
 ``...-every<cadence>.sha256``, and a trajectory without a matching digest
 is integrated again and both files rewritten, the digest last, after the
-batch and before any table.  The final state is written next to them as ``burgers-ref-....csv``, an output
-derived from the trajectory's last row that is never read; it is rewritten
-unless it already holds exactly those bytes.  ``burgers_reference``, the
-final state alone, is the same batch with the reference row alone; it
-reads and writes no file.
+batch and before any table.  The final state is written next to them as
+``burgers-ref-....csv``, an output derived from the trajectory's last row
+that is never read; it is rewritten unless it already holds exactly those
+bytes.  ``burgers_reference``, the final state alone, is the same batch
+with the reference row alone; it reads and writes no file.
 """
 from __future__ import annotations
 
@@ -598,13 +598,14 @@ def _assemble_rows(spec: SweepSpec, cells) -> tuple[ConvergenceRow, ...]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (scheme, resolution) cell and assemble convergence tables.
 
-    The schemes of one resolution run as one batch.  A diverging cell is
-    marked failed, with the step where it stopped being finite, and the
-    sweep continues.  Batches run one after another in a fixed order, so
-    tables are deterministic.
+    The schemes of one advection grid size run as one batch, and a Burgers
+    sweep's cells and reference as another (the module docstring).  A
+    diverging cell is marked failed, with the step where it stopped being
+    finite, and the sweep continues.  Batches run one after another in a
+    fixed order, so tables are deterministic.
     """
     if spec.is_burgers:
-        cells = [_Cells(spec, divisor) for divisor in spec.resolutions]
+        groups = [_Cells(spec, divisor) for divisor in spec.resolutions]
         _reference_trajectory(
             Grid1D(spec.n_cells),
             spec.reference_dt,
@@ -612,9 +613,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             spec.problem.viscosity,
             REFERENCE_DIVISOR // math.lcm(*spec.resolutions),
             spec.cache_dir,
-            tuple(cells),
+            tuple(groups),
         )
-        by_resolution = [group.results for group in cells]
+        by_resolution = [group.results for group in groups]
     else:
         by_resolution = [_resolution_cells(spec, r) for r in spec.resolutions]
     tables = tuple(

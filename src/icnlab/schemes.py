@@ -265,8 +265,8 @@ class SchemeConfig:
 def _run(
     u: np.ndarray,
     schemes: Sequence[SchemeConfig],
-    f,
-    dt,
+    f: ArrayOperator | Callable[[int], ArrayOperator],
+    dt: float | Sequence[float],
     steps: range,
     observer: Callable[[int, np.ndarray], None] | None = None,
     strides: Sequence[int] | None = None,
@@ -301,13 +301,13 @@ def _run(
     # holding its own value: numpy converts a Python float operand on every
     # call, and broadcasts a (K, 1) column into an in-place product at about
     # twice the cost, both more than the arithmetic at N = 30.  _factors
-    # computes the values in floats: (parity, row, factor).
-    dts = np.broadcast_to(dt, rows).tolist()
-    table = np.array([
+    # computes the values in floats: table[parity][row].
+    dts = [dt] * rows if np.ndim(dt) == 0 else list(dt)
+    table = [
         [_factors(row_dt, *scheme.weights(parity))
          for scheme, row_dt in zip(schemes, dts)]
         for parity in (0, 1)
-    ])
+    ]
     # The rows due at step i are those whose stride divides i + 1, and each
     # takes the parity of its own step; both repeat every 2 stride[-1]
     # steps.  One entry (m, rhs, factors) per step of that period, each rhs
@@ -324,7 +324,8 @@ def _run(
             parity += ((k // s - 1) % 2,) * count
         m = len(parity)
         if parity not in factors:
-            spread = np.repeat(table[parity, np.arange(m)].T, n, axis=-1)
+            rows_factors = [table[p][k] for k, p in enumerate(parity)]
+            spread = np.repeat(np.array(rows_factors).T, n, axis=-1)
             factors[parity] = tuple(spread.reshape(
                 (6,) + (m,) * (u.ndim - 1) + (n,)))
         if m not in by_rows:
