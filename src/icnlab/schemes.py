@@ -310,27 +310,36 @@ def _run(
     ]
     # The rows due at step i are those whose stride divides i + 1, and each
     # takes the parity of its own step; both repeat every 2 stride[-1]
-    # steps.  One entry (m, rhs, factors) per step of that period, each rhs
-    # and set of factors built once, in Python ints: an integer ufunc run
-    # for the first time faults in its code, 128 KB of resident memory
+    # steps.  The parities of one period are found in Python ints: an
+    # integer ufunc run for the first time faults in its code, 128 KB of
+    # resident memory.
     period = 2 * stride[-1]
     runs = {s: stride.count(s) for s in stride}
-    by_rows, factors, schedule = {}, {}, []
+    parities = []
     for k in range(1, period + 1):
         parity = ()
         for s, count in runs.items():
             if k % s:
                 break
             parity += ((k // s - 1) % 2,) * count
+        parities.append(parity)
+    # The factors of every distinct set of parities are views of one array:
+    # arrays of a few hundred KB allocated apart are handed back to the
+    # system when freed, and every run pays their page faults again
+    distinct = list(dict.fromkeys(parities))
+    spread = np.repeat(np.array([
+        table[p][row] for parity in distinct for row, p in enumerate(parity)
+    ]).T, n, axis=-1)
+    by_rows, factors, start = {}, {}, 0
+    for parity in distinct:
         m = len(parity)
-        if parity not in factors:
-            rows_factors = [table[p][k] for k, p in enumerate(parity)]
-            spread = np.repeat(np.array(rows_factors).T, n, axis=-1)
-            factors[parity] = tuple(spread.reshape(
-                (6,) + (m,) * (u.ndim - 1) + (n,)))
+        factors[parity] = tuple(spread[:, start * n:(start + m) * n].reshape(
+            (6,) + (m,) * (u.ndim - 1) + (n,)))
+        start += m
         if m not in by_rows:
             by_rows[m] = f if strides is None else f(m)
-        schedule.append((m, by_rows[m], factors[parity]))
+    # one entry (m, rhs, factors) per step of the period
+    schedule = [(len(p), by_rows[len(p)], factors[p]) for p in parities]
     if min(by_rows) < rows:
         u = u.copy()  # the prefix steps write into it
     diverged_at = np.full(u.shape[:-1], -1)

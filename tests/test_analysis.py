@@ -507,7 +507,8 @@ def assert_matches_per_cell(spec, result):
     return diverged
 
 
-@pytest.mark.parametrize("dt_divisors", [(1, 4, 32), (2, 8)])
+@pytest.mark.parametrize("dt_divisors", [(1, 4, 32), (2, 8)],
+                         ids=["1-4-32", "2-8"])
 def test_run_sweep_burgers_batch_matches_per_cell_oracle(
     tmp_path, monkeypatch, dt_divisors
 ):
