@@ -547,15 +547,15 @@ def _resolution_cells(
     """
     grid = Grid1D(resolution)
     dt = spec.dt(resolution)
+    steps = steps_for(spec.t_final, dt)
     rows = len(spec.schemes)
     u0 = np.tile(initial_condition(grid), (rows, 1))
     f = spec.problem.array_rhs(grid, rows)
-    final, diverged_at = _run(u0, spec.schemes, f, dt,
-                              range(steps_for(spec.t_final, dt)))
-    exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
-    # the snapshot is the mean over the one final state; diverged rows hold
-    # inf and nan, and their norms are dropped below
     mean = _MeanNorms(grid.dx, rows)
+    # the snapshot is the mean over the one final state
+    final, diverged_at = _run(u0, spec.schemes, f, dt, range(steps))
+    exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
+    # diverged rows hold inf and nan; their norms are dropped below
     with np.errstate(over="ignore", invalid="ignore"):
         mean.add((final - exact)[None])
     return [
