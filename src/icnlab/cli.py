@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  The library
 validates its inputs and names the parameter at fault in a ParameterError;
 ``main`` maps that name to its flag (``flag``) and exits 2.  The CLI checks
-only what no library call sees, such as --norms and the output directories,
-and raises the same error.  Every number written to disk comes from the
-library calls unchanged.
+only what no library call sees, such as --norms and the output paths, and
+raises the same error; a failed write, or arrays too large for memory, also
+exit 2.  Every number written to disk comes from the library calls
+unchanged.
 """
 from __future__ import annotations
 
@@ -206,13 +207,12 @@ def cmd_run(args) -> int:
         reference = analysis.burgers_reference(
             args.n, dt_fine, args.t_final, problem.viscosity
         )
-    output.write_text(args.out, output.solution_csv(grid, final, reference))
+    _write("out", args.out, output.solution_csv(grid, final, reference))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     schemes = _schemes(args, "schemes")
-    norms = _items(args, "norms", NORM_KEYS)
     resolutions = None
     if args.resolutions is not None:
         try:
@@ -244,11 +244,8 @@ def cmd_sweep(args) -> int:
     except OSError as err:
         raise ParameterError("cache_dir", str(err)) from err
     render = output.sweep_csv if args.format == "csv" else output.sweep_markdown
-    extension = ".csv" if args.format == "csv" else ".md"
-    for norm in norms:
-        suffix = args.out.suffix or extension
-        path = args.out.with_name(f"{args.out.stem}_{norm}{suffix}")
-        output.write_text(path, render(result, norm))
+    for norm, path in _outputs(args).items():
+        _write("out", path, render(result, norm))
     return EXIT_OK
 
 
@@ -280,10 +277,55 @@ def cmd_stability(args) -> int:
                     key=lambda b: abs(getattr(args, b)))
         raise ParameterError(bound, "|g| is not a number on this map; its "
                                     "bounds are too large")
-    output.write_text(args.out, output.stability_csv(stability_map))
+    _write("out", args.out, output.stability_csv(stability_map))
     if args.pgm is not None:
-        output.write_text(args.pgm, output.stability_pgm(stability_map))
+        _write("pgm", args.pgm, output.stability_pgm(stability_map))
     return EXIT_OK
+
+
+def _outputs(args) -> dict[str, Path]:
+    """The files the command writes, by what each holds: --out's and
+    --pgm's, or a sweep's one file per norm, named by inserting the norm
+    before --out's extension."""
+    if args.command != "sweep":
+        return {name: getattr(args, name) for name in ("out", "pgm")
+                if getattr(args, name, None) is not None}
+    suffix = args.out.suffix or (".csv" if args.format == "csv" else ".md")
+    return {norm: args.out.with_name(f"{args.out.stem}_{norm}{suffix}")
+            for norm in _items(args, "norms", NORM_KEYS)}
+
+
+def _write(name: str, path: Path, content: str) -> None:
+    """Write ``path``, which flag ``name`` gives; a failed write is a usage
+    error on that flag."""
+    try:
+        output.write_text(path, content)
+    except OSError as err:
+        raise ParameterError(name, str(err)) from err
+
+
+def _check_output(name: str, path: Path) -> None:
+    """A usage error on flag ``name`` unless ``path`` can be written: its
+    directory exists, it is not a directory, and its name can be looked
+    up (one that is too long cannot)."""
+    try:
+        if not path.parent.is_dir():
+            raise ParameterError(
+                name, f"no directory {str(path.parent)!r} for {path.name}"
+            )
+        if path.is_dir():
+            raise ParameterError(name, f"{str(path)!r} is a directory")
+    except OSError as err:
+        raise ParameterError(name, str(err)) from err
+
+
+def _sized_by(args) -> str | None:
+    """The parameter whose flag sizes the command's arrays, or None for a
+    Burgers sweep, whose --n and --resolutions both do: its reference keeps
+    a state per step of the finest dt divisor."""
+    if args.command == "sweep":
+        return None if args.problem == "burgers" else "resolutions"
+    return "n_cells" if args.command == "run" else "resolution"
 
 
 def main(argv=None) -> int:
@@ -291,15 +333,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # fail before any work, not after a whole sweep
-        for name in ("out", "pgm"):
-            path = getattr(args, name, None)
-            if path is not None and not path.parent.is_dir():
-                raise ParameterError(
-                    name, f"no directory {str(path.parent)!r} for {path.name}"
-                )
+        for key, path in _outputs(args).items():
+            _check_output("pgm" if key == "pgm" else "out", path)
         return args.func(args)
     except ParameterError as err:
         print(f"icnlab: error: {flag(err.parameter)}: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as err:
+        name = _sized_by(args)
+        where = "" if name is None else f"{flag(name)}: "
+        print(f"icnlab: error: {where}too large for memory: {err}",
+              file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as err:
         print(f"icnlab: numerical failure: {err}", file=sys.stderr)

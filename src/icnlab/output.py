@@ -3,7 +3,9 @@
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
 order, newline line endings.  A stability map is assembled as one uint8
 buffer per file, in which zero bytes stand for nothing and are dropped
-before decoding.  Its floats come from ``float_bytes``, whose row for each
+before decoding (``_text``).  The CSV's buffer starts as the bytes that do
+not depend on theta, laid out once for one theta and copied under every
+other.  Its floats come from ``float_bytes``, whose row for each
 value holds exactly the bytes of ``format_float``.  A value of magnitude in
 [1e-99, 1e99) is scaled to six integer digits in float arithmetic, off by
 less than 1e-9, and rounded.  Within 1e-6 of a rounding tie that error
@@ -141,18 +143,20 @@ def sweep_markdown(result: SweepResult, norm_key: str) -> str:
 def stability_csv(stability_map: StabilityMap) -> str:
     """Rows (theta, beta, |g|, stable), theta-major, beta ascending."""
     theta = float_bytes(stability_map.theta_axis)
-    beta = float_bytes(stability_map.beta_axis)
-    n_theta, n_beta, w = len(theta), len(beta), FLOAT_WIDTH
-    # a line: theta, ",", beta, ",", |g|, ",", the flag, "\n"
-    buf = np.zeros((n_theta, n_beta, 3 * w + 5), np.uint8)
+    n_theta, n_beta, w = len(theta), len(stability_map.beta_axis), FLOAT_WIDTH
+    # a line: theta, ",", beta, ",", |g|, ",", the flag, "\n"; the bytes of
+    # all but theta, |g| and a "1" flag are one block under every theta
+    lines = np.empty((n_beta, 3 * w + 5), np.uint8)
+    lines[:, w + 1:2 * w + 1] = float_bytes(stability_map.beta_axis)
+    lines[:, [w, 2 * w + 1, 3 * w + 2]] = ord(",")
+    lines[:, 3 * w + 3] = ord("0")
+    lines[:, 3 * w + 4] = ord("\n")
+    buf = np.empty((n_theta, n_beta, 3 * w + 5), np.uint8)
+    buf[:] = lines
     buf[:, :, :w] = theta[:, None]
-    buf[:, :, w + 1:2 * w + 1] = beta
     buf[:, :, 2 * w + 2:3 * w + 2] = float_bytes(
         stability_map.modulus.T).reshape(n_theta, n_beta, w)
-    buf[:, :, [w, 2 * w + 1, 3 * w + 2]] = ord(",")
-    buf[:, :, 3 * w + 3] = ord("0")
     buf[stability_map.stable_mask.T, 3 * w + 3] = ord("1")
-    buf[:, :, 3 * w + 4] = ord("\n")
     return "theta,beta,g_modulus,stable\n" + _text(buf)
 
 
@@ -176,8 +180,10 @@ def stability_pgm(stability_map: StabilityMap) -> str:
 
 
 def _text(buf: np.ndarray) -> str:
-    """The nonzero bytes of ``buf`` in order, as text."""
-    return buf[buf != 0].tobytes().decode("ascii")
+    """The nonzero bytes of ``buf`` in order, as text.  One C-level pass of
+    ``bytes.translate`` drops the NULs, in about half the time of indexing
+    ``buf`` by a mask."""
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_text(path: str | Path, content: str) -> None:

@@ -828,6 +828,56 @@ def test_main_returns_exit_code_in_process(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag_, directory", [
+    (["run", "--problem", "linear", "--scheme", "icn", "--n", "8",
+      "--t-final", "0", "--out", "o.csv"], "--out", "o.csv"),
+    (["sweep", "--problem", "linear", "--schemes", "icn", "--resolutions",
+      "100", "--out", "t.csv"], "--out", "t_l1.csv"),
+    (["stability", "--variant", "ga", "--resolution", "5", "--out",
+      "m.csv"], "--out", "m.csv"),
+    (["stability", "--variant", "ga", "--resolution", "5", "--out",
+      "m.csv", "--pgm", "m.pgm"], "--pgm", "m.pgm"),
+], ids=["run-out", "sweep-norm-file", "stability-out", "stability-pgm"])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, argv,
+                                                 flag_, directory):
+    # a file to write that is an existing directory is a usage error on
+    # its flag, found before any work: nothing else is written
+    (tmp_path / directory).mkdir()
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".pgm")) else a
+            for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"icnlab: error: {flag_}: ")
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+
+@pytest.mark.parametrize("name", ["x" * 300 + ".csv", "full"],
+                         ids=["name-too-long", "write-fails"])
+def test_output_os_error_exits_2(tmp_path, capsys, name):
+    # an OSError from looking up the path or from writing it is a usage
+    # error on the flag: a name past the file system's limit, or a device
+    # that takes no bytes
+    path = tmp_path / name
+    if name == "full":
+        path = Path("/dev/full")
+        if not path.exists():
+            pytest.skip("no /dev/full on this system")
+    assert main(["stability", "--variant", "ga", "--resolution", "5",
+                 "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("icnlab: error: --out: ")
+
+
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 1e14 nodes need 728 TiB, more than any address space: the first
+    # allocation fails at once, a usage error that names the flag that
+    # sizes the arrays
+    assert main(["run", "--problem", "linear", "--scheme", "icn", "--n",
+                 "100000000000000", "--t-final", "5e-15", "--out",
+                 str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("icnlab: error: --n: too large for memory"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Flag values for the property below, by the flag's type: the edge floats
 # and ordinary ones (with a few that divide the default time steps), and
 # ints that are zero, negative or small (half of them valid grid sizes).

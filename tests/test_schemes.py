@@ -26,6 +26,7 @@ from icnlab.schemes import (
     _factors,
     _run,
     _step,
+    coefficients,
     integrate,
     linear_stencil,
     period_coefficients,
@@ -551,31 +552,57 @@ def test_order_condition_oracle(scheme, parity):
     assert abs(fitted - (c2 - 0.5)) <= 1e-3
 
 
-def test_ga_minus_icn_third_order_oracle():
-    # Burgers is nonlinear, so this tells averaging the states, as _step
-    # does, from averaging the right-hand sides, which gives the same step
-    # on any linear L.  Read as a Runge-Kutta method (schemes docstring),
-    # a step with c2 = 1/2 is u + dt f + dt^2 J f / 2 + dt^3 (c3 J J f +
-    # f''(f, f) / 8) + O(dt^4), J the Jacobian of L at u; ga and icn differ
-    # only in c3, theta1 / 2 against 1/4.  For Burgers J v = -d1(u v) /
-    # (2 dx) + nu v_xx, v_xx by the rhs's three-point difference.  The
-    # rhs-averaging step misses by about 20%; below dt of about 5e-5
-    # round-off in the difference of two steps dominates
+def minus_icn_remainder(scheme, step_index=0, dt=1e-4):
+    """Step ``step_index`` of ``scheme`` minus icn's step, less its
+    expansion to dt^3, in the max norm relative to the dt^3 term; on
+    Burgers at N = 30 from u = sin^2(pi x).
+
+    Burgers is nonlinear, so this tells averaging the states, as _step
+    does, from averaging the right-hand sides, which gives the same step on
+    any linear L.  Read as a Runge-Kutta method (schemes docstring), a step
+    of coefficients (c2, c3) is u + dt f + c2 dt^2 J f + dt^3 (c3 J J f +
+    c2^2 f''(f, f) / 2) + O(dt^4), J the Jacobian of L at u, and icn's has
+    (1/2, 1/4).  For Burgers J v = -d1(u v) / (2 dx) + nu v_xx, v_xx by the
+    rhs's three-point difference, and f''(v, v) = -d1(v^2) / (2 dx).  Below
+    dt of about 5e-5 round-off in the difference of two steps dominates.
+    """
     grid = Grid1D(30)
     problem = burgers()
     u = initial_condition(grid)
-    theta1, dt = 0.6, 1e-4
+    c2, c3 = coefficients(*scheme.weights(step_index))
 
     def jacobian(v):
         return (-delta1_array(u * v) / (2.0 * grid.dx)
                 + problem.viscosity * second_derivative_array(v, grid.dx))
 
-    got = (SchemeConfig.ga(theta1).step(u, problem.rhs, dt)
+    f = problem.rhs(u)
+    got = (scheme.step(u, problem.rhs, dt, step_index)
            - ICN.step(u, problem.rhs, dt))
-    expected = ((theta1 / 2.0 - 0.25) * dt ** 3
-                * jacobian(jacobian(problem.rhs(u))))
-    # 2.6e-4 measured: the O(dt^4) remainder
-    assert np.abs(got - expected).max() <= 1e-3 * np.abs(expected).max()
+    third = dt ** 3 * ((c3 - 0.25) * jacobian(jacobian(f))
+                       - 0.5 * (c2 * c2 - 0.25)
+                       * delta1_array(f * f) / (2.0 * grid.dx))
+    remainder = got - (c2 - 0.5) * dt ** 2 * jacobian(f) - third
+    return np.abs(remainder).max() / np.abs(third).max()
+
+
+def test_ga_minus_icn_third_order_oracle():
+    # ga and icn differ only in c3, theta1 / 2 against 1/4; the
+    # rhs-averaging step misses by about 20%.  2.6e-4 measured: the
+    # O(dt^4) remainder
+    assert minus_icn_remainder(SchemeConfig.ga(0.6)) <= 1e-3
+
+
+@pytest.mark.parametrize("scheme, step_index, bound", [
+    # each bound is about twice the remainder measured at dt = 1e-4
+    (SchemeConfig.theta_icn(0.6), 0, 5e-4),  # 2.44e-4
+    (SchemeConfig.swapped_theta_icn(0.6), 0, 4e-4),  # 1.60e-4
+    (SchemeConfig.aa(0.6), 0, 5e-4),  # 2.44e-4, the theta(0.6) step
+    (SchemeConfig.aa(0.6), 1, 5e-4),  # 2.03e-4, the theta(0.4) step
+], ids=["theta", "swapped", "aa-odd", "aa-even"])
+def test_step_minus_icn_third_order_oracle(scheme, step_index, bound):
+    # ROADMAP item 4's per-variant expansion: c2 != 1/2 adds a dt^2 J f
+    # term and, with c3, the f''(f, f) term at dt^3
+    assert minus_icn_remainder(scheme, step_index) <= bound
 
 
 @pytest.fixture(scope="module")
