@@ -333,7 +333,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # fail before any work, not after a whole sweep
-        for key, path in _outputs(args).items():
+        outputs = _outputs(args)
+        for key, path in outputs.items():
             _check_output("pgm" if key == "pgm" else "out", path)
         return args.func(args)
     except ParameterError as err:
