@@ -14,6 +14,7 @@ import argparse
 import functools
 import math
 import shutil
+import stat
 import sys
 from pathlib import Path
 
@@ -180,7 +181,7 @@ def _problem(args, **burgers_only):
     return PROBLEMS[args.problem]()
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, outputs) -> int:
     problem = _problem(args, dt=args.dt)
     (scheme,) = _schemes(args, "scheme")
     grid = Grid1D(args.n)
@@ -207,11 +208,11 @@ def cmd_run(args) -> int:
         reference = analysis.burgers_reference(
             args.n, dt_fine, args.t_final, problem.viscosity
         )
-    _write("out", args.out, output.solution_csv(grid, final, reference))
+    _write(*outputs["out"], output.solution_csv(grid, final, reference))
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, outputs) -> int:
     schemes = _schemes(args, "schemes")
     resolutions = None
     if args.resolutions is not None:
@@ -244,12 +245,12 @@ def cmd_sweep(args) -> int:
     except OSError as err:
         raise ParameterError("cache_dir", str(err)) from err
     render = output.sweep_csv if args.format == "csv" else output.sweep_markdown
-    for norm, path in _outputs(args).items():
-        _write("out", path, render(result, norm))
+    for norm, (name, path) in outputs.items():
+        _write(name, path, render(result, norm))
     return EXIT_OK
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args, outputs) -> int:
     variant = SchemeVariant(args.variant)
     name = PARAMETER[variant]
     # the map's theta axis is the variant's parameter; a weight of theta,
@@ -277,21 +278,22 @@ def cmd_stability(args) -> int:
                     key=lambda b: abs(getattr(args, b)))
         raise ParameterError(bound, "|g| is not a number on this map; its "
                                     "bounds are too large")
-    _write("out", args.out, output.stability_csv(stability_map))
-    if args.pgm is not None:
-        _write("pgm", args.pgm, output.stability_pgm(stability_map))
+    _write(*outputs["out"], output.stability_csv(stability_map))
+    if "pgm" in outputs:
+        _write(*outputs["pgm"], output.stability_pgm(stability_map))
     return EXIT_OK
 
 
-def _outputs(args) -> dict[str, Path]:
-    """The files the command writes, by what each holds: --out's and
-    --pgm's, or a sweep's one file per norm, named by inserting the norm
-    before --out's extension."""
+def _outputs(args) -> dict[str, tuple[str, Path]]:
+    """The files the command writes, each as (the parameter of its flag,
+    its path), by what it holds: --out's and --pgm's, or a sweep's one
+    file per norm, named by inserting the norm before --out's extension."""
     if args.command != "sweep":
-        return {name: getattr(args, name) for name in ("out", "pgm")
+        return {name: (name, getattr(args, name)) for name in ("out", "pgm")
                 if getattr(args, name, None) is not None}
     suffix = args.out.suffix or (".csv" if args.format == "csv" else ".md")
-    return {norm: args.out.with_name(f"{args.out.stem}_{norm}{suffix}")
+    return {norm: ("out",
+                   args.out.with_name(f"{args.out.stem}_{norm}{suffix}"))
             for norm in _items(args, "norms", NORM_KEYS)}
 
 
@@ -305,18 +307,22 @@ def _write(name: str, path: Path, content: str) -> None:
 
 
 def _check_output(name: str, path: Path) -> None:
-    """A usage error on flag ``name`` unless ``path`` can be written: its
-    directory exists, it is not a directory, and its name can be looked
-    up (one that is too long cannot)."""
+    """A usage error on flag ``name`` unless ``path`` can be written: it is
+    a file, or it does not exist and its directory does.  A name that
+    cannot be looked up, such as one that is too long, cannot be written.
+    A file that exists is looked up once, as a sweep's are on a rerun."""
     try:
+        mode = path.stat().st_mode
+    except (FileNotFoundError, NotADirectoryError):
         if not path.parent.is_dir():
             raise ParameterError(
                 name, f"no directory {str(path.parent)!r} for {path.name}"
-            )
-        if path.is_dir():
-            raise ParameterError(name, f"{str(path)!r} is a directory")
+            ) from None
+        return
     except OSError as err:
         raise ParameterError(name, str(err)) from err
+    if stat.S_ISDIR(mode):
+        raise ParameterError(name, f"{str(path)!r} is a directory")
 
 
 def _sized_by(args) -> str | None:
@@ -332,11 +338,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # fail before any work, not after a whole sweep
+        # fail before any work, not after a whole sweep; the command writes
+        # the files checked here
         outputs = _outputs(args)
-        for key, path in outputs.items():
-            _check_output("pgm" if key == "pgm" else "out", path)
-        return args.func(args)
+        for name, path in outputs.values():
+            _check_output(name, path)
+        return args.func(args, outputs)
     except ParameterError as err:
         print(f"icnlab: error: {flag(err.parameter)}: {err}", file=sys.stderr)
         return EXIT_USAGE
