@@ -307,10 +307,9 @@ def _write(name: str, path: Path, content: str) -> None:
 
 
 def _check_output(name: str, path: Path) -> None:
-    """A usage error on flag ``name`` unless ``path`` can be written: it is
-    a file, or it does not exist and its directory does.  A name that
-    cannot be looked up, such as one that is too long, cannot be written.
-    A file that exists is looked up once, as a sweep's are on a rerun."""
+    """A usage error on flag ``name`` unless ``path`` is a file, or is
+    missing from a directory that exists; one stat for a file that exists.
+    """
     try:
         mode = path.stat().st_mode
     except (FileNotFoundError, NotADirectoryError):
@@ -326,9 +325,8 @@ def _check_output(name: str, path: Path) -> None:
 
 
 def _sized_by(args) -> str | None:
-    """The parameter whose flag sizes the command's arrays, or None for a
-    Burgers sweep, whose --n and --resolutions both do: its reference keeps
-    a state per step of the finest dt divisor."""
+    """The parameter whose flag sizes the command's arrays; none does alone
+    for a Burgers sweep."""
     if args.command == "sweep":
         return None if args.problem == "burgers" else "resolutions"
     return "n_cells" if args.command == "run" else "resolution"

@@ -180,9 +180,7 @@ def stability_pgm(stability_map: StabilityMap) -> str:
 
 
 def _text(buf: np.ndarray) -> str:
-    """The nonzero bytes of ``buf`` in order, as text.  One C-level pass of
-    ``bytes.translate`` drops the NULs, in about half the time of indexing
-    ``buf`` by a mask."""
+    """The nonzero bytes of ``buf`` in order, as text."""
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 

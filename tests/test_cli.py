@@ -866,15 +866,21 @@ def test_output_os_error_exits_2(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("icnlab: error: --out: ")
 
 
-def test_run_too_large_for_memory_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv, where", [
+    (["run", "--problem", "linear", "--scheme", "icn", "--t-final",
+      "5e-15"], "--n: "),
+    # no one flag sizes a Burgers sweep's arrays
+    (["sweep", "--problem", "burgers", "--schemes", "icn", "--resolutions",
+      "1", "--t-final", "1e-20"], ""),
+], ids=["run", "burgers-sweep"])
+def test_too_large_for_memory_exits_2(tmp_path, capsys, argv, where):
     # 1e14 nodes need 728 TiB, more than any address space: the first
-    # allocation fails at once, a usage error that names the flag that
-    # sizes the arrays
-    assert main(["run", "--problem", "linear", "--scheme", "icn", "--n",
-                 "100000000000000", "--t-final", "5e-15", "--out",
-                 str(tmp_path / "o.csv")]) == 2
+    # allocation of that size fails at once, a usage error that names the
+    # flag that sizes the arrays
+    assert main(argv + ["--n", "100000000000000", "--out",
+                        str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("icnlab: error: --n: too large for memory"), err
+    assert err.startswith(f"icnlab: error: {where}too large for memory"), err
     assert list(tmp_path.iterdir()) == []
 
 
