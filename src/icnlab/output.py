@@ -180,7 +180,7 @@ def stability_pgm(stability_map: StabilityMap) -> str:
 
 
 def _text(buf: np.ndarray) -> str:
-    """The nonzero bytes of ``buf`` in order, as text."""
+    """The nonzero bytes of ``buf`` in order, as text: one bytes.translate."""
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
