@@ -23,9 +23,10 @@ clock.  The SHA-256 of its states is written beside it as
 is integrated again and both files rewritten, the digest last, after the
 batch and before any table.  The final state is written next to them as
 ``burgers-ref-....csv``, an output derived from the trajectory's last row
-that is never read; it is rewritten unless it already holds exactly those
-bytes.  ``burgers_reference``, the final state alone, is the same batch
-with the reference row alone; it reads and writes no file.
+that the library never reads back (perfbench's cache check does); it is
+rewritten unless it already holds exactly those bytes.
+``burgers_reference``, the final state alone, is the same batch with the
+reference row alone; it reads and writes no file.
 """
 from __future__ import annotations
 
@@ -312,6 +313,13 @@ class _MeanNorms:
         return NormTriple(*(float(total / self.count)
                             for total in self.sums[:, row]))
 
+    def cells(self, diverged_at) -> list[tuple[NormTriple | None, int | None]]:
+        """Per row, (its norms, None), or (None, the step at which it
+        diverged) for a row that diverged (diverged_at, as _run gives it):
+        its norms are dropped."""
+        return [(None, int(step)) if step >= 0 else (self.result(k), None)
+                for k, step in enumerate(diverged_at)]
+
 
 class _Cells:
     """The K scheme rows of one dt divisor in a Burgers batch.
@@ -320,8 +328,7 @@ class _Cells:
     its time, a block of at most BLOCK states at a time, into the running
     mean of each row's norms.  _burgers_batch places the rows (start, end)
     and the reference states they are compared with (targets); after it,
-    ``results`` holds, per scheme, its norms, or None and the step at which
-    it stopped being finite.
+    ``results`` holds its rows' cells (_MeanNorms.cells).
     """
 
     def __init__(self, spec: SweepSpec, divisor: int):
@@ -349,13 +356,10 @@ class _Cells:
     def finish(self, diverged_at: np.ndarray) -> None:
         if self.steps % BLOCK:
             # a batch that ended early did so because every row diverged,
-            # and diverged rows' norms are dropped below
+            # and mean.cells drops diverged rows' norms
             with np.errstate(over="ignore", invalid="ignore"):
                 self.reduce(self.steps)
-        self.results = [
-            (None, int(step)) if step >= 0 else (self.mean.result(k), None)
-            for k, step in enumerate(diverged_at[self.start:self.end])
-        ]
+        self.results = self.mean.cells(diverged_at[self.start:self.end])
 
 
 def _burgers_batch(
@@ -555,13 +559,10 @@ def _resolution_cells(
     # the snapshot is the mean over the one final state
     final, diverged_at = _run(u0, spec.schemes, f, dt, range(steps))
     exact = spec.problem.exact_solution(grid.nodes(), spec.t_final)
-    # diverged rows hold inf and nan; their norms are dropped below
+    # diverged rows hold inf and nan; mean.cells drops their norms
     with np.errstate(over="ignore", invalid="ignore"):
         mean.add((final - exact)[None])
-    return [
-        (None, int(step)) if step >= 0 else (mean.result(k), None)
-        for k, step in enumerate(diverged_at)
-    ]
+    return mean.cells(diverged_at)
 
 
 def _assemble_rows(spec: SweepSpec, cells) -> tuple[ConvergenceRow, ...]:

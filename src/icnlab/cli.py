@@ -201,7 +201,8 @@ def cmd_run(args, outputs) -> int:
         dt_fine = analysis.burgers_dt(args.n) / analysis.REFERENCE_DIVISOR
         steps_for(args.t_final, dt_fine)
 
-    final = integrate(initial_condition(grid), scheme, problem.rhs, dt, steps)
+    final = integrate(initial_condition(grid), scheme,
+                      problem.array_rhs(grid), dt, steps)
     if problem.has_exact:
         reference = problem.exact_solution(grid.nodes(), args.t_final)
     else:

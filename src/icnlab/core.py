@@ -23,11 +23,21 @@ class ParameterError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A state or step result stopped being finite."""
+    """A step diverged (schemes._run states the rule); step_index is that
+    step's."""
 
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+
+
+def as_state(values) -> np.ndarray:
+    """values as a state: one row of floats, else a ValueError."""
+    state = np.asarray(values, dtype=float)
+    if state.ndim != 1:
+        raise ValueError(
+            f"a state is one row of values, got shape {state.shape}")
+    return state
 
 
 @dataclass(frozen=True)

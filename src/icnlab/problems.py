@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DivergenceError, Grid1D, PeriodicShifts
+from .core import Grid1D, PeriodicShifts, as_state
 
 
 class ProblemKind(str, Enum):
@@ -47,16 +47,16 @@ class Problem:
         return self.kind is not ProblemKind.BURGERS
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate L(u) nodewise with centered differences, on the grid of
-        u's length; a state that is not finite raises DivergenceError."""
-        if not np.isfinite(u).all():
-            raise DivergenceError("non-finite state")
-        return self.array_rhs(Grid1D(u.shape[-1]))(u)
+        """Evaluate L(u) nodewise with centered differences on the grid of
+        u's length.  u is one state (core.as_state), finite or not: the
+        steppers find divergence in their steps' output (schemes._run)."""
+        u = as_state(u)
+        return self.array_rhs(Grid1D(len(u)))(u)
 
     def array_rhs(
         self, grid: Grid1D, rows: int | None = None
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """L on raw nodal values of ``grid``, with no finiteness check.
+        """L on raw nodal values of ``grid``.
 
         The returned function takes values of shape (N,) or, with ``rows``,
         (rows, N), and applies L to each row.  The neighbour indices are

@@ -35,11 +35,11 @@ theta > 1/2 (the stability module docstring).
 
 One loop, ``_run``, advances every step; its docstring says how the rows
 of a batch each take their own scheme, dt and stride, so that rows of
-different time steps share one clock (the Burgers sweep), and how
-divergence is recorded.  ``_run_row`` is its one-row case, which
-``integrate`` and SchemeConfig.step call: a state is a plain array of N
-nodal values, and a step that is not finite raises DivergenceError with
-that step.
+different time steps share one clock (the Burgers sweep), and states the
+one rule by which a step diverges.
+``_run_row`` is its one-row case, which ``integrate`` and SchemeConfig.step
+call: it takes one state (core.as_state) and a positive finite dt, and
+raises DivergenceError with the step that diverged.
 """
 from __future__ import annotations
 
@@ -52,13 +52,12 @@ import numpy as np
 
 from .core import (
     DivergenceError,
-    Grid1D,
     ParameterError,
+    as_state,
     delta1_array,
     delta2_array,
     delta3_array,
 )
-from .problems import Problem
 
 ArrayOperator = Callable[[np.ndarray], np.ndarray]
 
@@ -77,7 +76,7 @@ def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
     expressions: x * dt is dt * x in IEEE arithmetic.  f must return a
     fresh array on every call, which the step owns and scales in place.
     This is the one statement of that rule: the array forms of the problems
-    return fresh arrays, and _array_form copies what any other f returns.
+    return fresh arrays, and _run_row copies what its f returns.
     """
     ut = f(u)
     ut *= dt
@@ -95,20 +94,6 @@ def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
     out *= dt
     out += u
     return out
-
-
-def _array_form(f: ArrayOperator, n: int) -> ArrayOperator:
-    """``f`` as _step's f on states of n values (see _step).
-
-    A bound Problem.rhs becomes the problem's array form, with no
-    finiteness check per call.  What any other f returns is copied.
-    """
-    problem = getattr(f, "__self__", None)
-    if isinstance(problem, Problem) and (
-        getattr(f, "__func__", None) is Problem.rhs
-    ):
-        return problem.array_rhs(Grid1D(n))
-    return lambda v: f(v).copy()
 
 
 class SchemeVariant(str, Enum):
@@ -287,11 +272,12 @@ def _run(
     dividing the next), and only they are stepped, by f(m), the rhs on m
     rows: f is then called once per prefix length to build it.
 
-    Returns the final state and, per row, the index of the first of its
-    own steps whose output is not finite, or -1 for a row that stayed
-    finite.  Every operation acts within a row, so a row that stops being
-    finite leaves the others unchanged; the loop ends once every row has
-    done so.
+    A step diverges when its output is not finite; this is the one
+    divergence rule, and f is never asked to check its input.  Returns the
+    final state and, per row, the index of the first of its own steps that
+    diverged, or -1 for a row that stayed finite.  Every operation acts
+    within a row, so a row that diverges leaves the others unchanged; the
+    loop ends once every row has done so.
     """
     rows, n = len(schemes), u.shape[-1]
     stride = [1] * rows if strides is None else list(strides)
@@ -347,19 +333,11 @@ def _run(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in steps:
             m, rhs, step_factors = schedule[i % period]
-            try:
-                if m == rows:
-                    u = stepped = _step(u, rhs, *step_factors)
-                else:
-                    stepped = u[:m]
-                    stepped[...] = _step(stepped, rhs, *step_factors)
-            except DivergenceError:
-                # raised by an f that checks its input, as Problem.rhs
-                # does: every row that has not diverged stops at the step it
-                # was due to take
-                own = -(-(i + 1) // np.reshape(stride, u.shape[:-1])) - 1
-                diverged_at = np.where(diverged_at < 0, own, diverged_at)
-                break
+            if m == rows:
+                u = stepped = _step(u, rhs, *step_factors)
+            else:
+                stepped = u[:m]
+                stepped[...] = _step(stepped, rhs, *step_factors)
             # a non-finite intermediate always reaches the step's output,
             # so one check per step finds the step where it first appears.
             # A finite sum means every entry is finite; only when the sum
@@ -384,13 +362,14 @@ def _run_row(
     steps: range,
     observer: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """_run on one state of N values, with f taken through _array_form; a
-    step that is not finite raises DivergenceError."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError(f"a state is one row of values, got shape {u.shape}")
-    f = _array_form(f, len(u))
-    u, diverged_at = _run(u, (scheme,), f, dt, steps, observer)
+    """_run on one state, each output of f copied for _step; a dt that is
+    not positive and finite is a ParameterError, and a step that diverges
+    raises DivergenceError."""
+    u = as_state(u)
+    if not 0.0 < dt < math.inf:
+        raise ParameterError("dt", "dt must be positive and finite")
+    u, diverged_at = _run(u, (scheme,), lambda v: f(v).copy(), dt, steps,
+                          observer)
     step = int(diverged_at)
     if step >= 0:
         raise DivergenceError(f"step diverged at step {step}", step_index=step)
@@ -408,13 +387,9 @@ def integrate(
     """Apply ``scheme`` n_steps times from u0 and return the final state.
 
     This is the one-row case of the batched loop _run.
-    ``observer(step_index, state)`` is called after every completed step,
-    which is how the reference trajectory is sampled.  A step that stops
-    being finite raises DivergenceError carrying the index of the failing
-    step.
+    ``observer(step_index, state)`` is called after every completed step.
+    A step that diverges (_run) raises DivergenceError carrying its index.
     """
-    if dt <= 0.0:
-        raise ParameterError("dt", "dt must be positive")
     if n_steps < 0:
         raise ParameterError("n_steps", "n_steps must be non-negative")
     return _run_row(u0, scheme, rhs, dt, range(n_steps), observer)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icnlab.core import (
-    DivergenceError,
     Grid1D,
     delta1_array,
 )
@@ -39,12 +38,6 @@ def test_semilinear_rhs_constant_field():
 def test_burgers_rhs_constant_field():
     out = burgers(0.01).rhs(np.full(8, 0.4))
     assert np.array_equal(out, np.zeros(8))
-
-
-def test_rhs_rejects_non_finite_state():
-    bad = np.array([0.0, np.inf, 0.0, 0.0])
-    with pytest.raises(DivergenceError, match="non-finite state"):
-        linear_advection().rhs(bad)
 
 
 def test_exact_solution_examples():

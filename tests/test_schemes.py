@@ -39,7 +39,7 @@ ICN = SchemeConfig.icn()
 
 def one_step(u, f, dt, w1, s, w2):
     """One step with weights (w1, s, w2) for any f: _step on a copy of
-    what f returns, as _array_form gives it."""
+    what f returns, as _run_row gives it."""
     return _step(u, lambda v: f(v).copy(), *_factors(dt, w1, s, w2))
 
 
@@ -227,7 +227,8 @@ def test_integrate_zero_steps():
 def test_state_validation():
     # a state is one row of nodal values, taken as floats, and error_norms
     # compares two states of one shape; neither is a parameter with a flag,
-    # so both raise a plain ValueError
+    # so both raise a plain ValueError.  Problem.rhs takes one state too:
+    # on rows it would take each row's end neighbours from the next row
     from icnlab.analysis import error_norms
 
     u = [0, 1, 0, -1]
@@ -236,9 +237,13 @@ def test_state_validation():
     assert out.dtype == np.float64
     assert np.array_equal(out, ICN.step(np.array(u, float), LINEAR.rhs, dt))
     assert integrate(u, ICN, LINEAR.rhs, dt, 0).dtype == np.float64
-    for bad in (np.zeros((2, 8)), 1.0):
+    for problem in PROBLEMS:
+        assert problem.rhs(u).tobytes() == problem.array_rhs(Grid1D(4))(
+            np.array(u, float)).tobytes()
+    for bad in (np.zeros((2, 8)), np.zeros((3, 30)), 1.0):
         for call in (lambda: integrate(bad, ICN, LINEAR.rhs, dt, 1),
-                     lambda: ICN.step(bad, LINEAR.rhs, dt)):
+                     lambda: ICN.step(bad, LINEAR.rhs, dt),
+                     *(lambda p=p: p.rhs(bad) for p in PROBLEMS)):
             with pytest.raises(ValueError, match="one row") as info:
                 call()
             assert type(info.value) is ValueError
@@ -274,6 +279,21 @@ def test_mass_conservation_per_step(problem):
     out = ICN.step(u, problem.rhs, dt)
     drift = abs(out.sum() - u.sum())
     assert drift <= 1e-12 * grid.n_cells * np.abs(u).max()
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+def test_integrate_and_step_reject_a_dt_that_is_not_positive_and_finite(dt):
+    # one check for both: a negative dt would step backward in time, and a
+    # nan or inf one is a usage error, not a divergence at step 0
+    u = initial_condition(Grid1D(30))
+    rhs = burgers(0.01).array_rhs(Grid1D(30))
+    for run in (lambda: integrate(u, ICN, rhs, dt, 3),
+                lambda: ICN.step(u, rhs, dt),
+                lambda: SchemeConfig.aa(0.3).step(u, rhs, dt, step_index=1)):
+        with pytest.raises(ParameterError,
+                           match="dt must be positive and finite") as info:
+            run()
+        assert info.value.parameter == "dt"
 
 
 def test_integrate_divergence_reports_step_index():
@@ -392,17 +412,17 @@ def test_kernel_matches_unified_stencil(w1, s, w2, courant, n, seed):
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind.value)
 @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=SchemeConfig.label)
 def test_field_callable_matches_array_form(problem, scheme):
-    # a bound Problem.rhs runs as the problem's array form; any other
-    # callable has its output copied, with the same bits
+    # the array form (what icnlab run passes), Problem.rhs and a wrapped
+    # callable give the same bits, through integrate and SchemeConfig.step
     grid = Grid1D(30)
     dt = 0.5 * grid.dx if problem.has_exact else 0.5 * grid.dx**2
     u0 = initial_condition(grid)
-    direct = integrate(u0, scheme, problem.rhs, dt, 7)
-    wrapped = integrate(u0, scheme, lambda u: problem.rhs(u), dt, 7)
-    assert np.array_equal(direct, wrapped)
-    one = scheme.step(u0, problem.rhs, dt, step_index=1)
-    other = scheme.step(u0, lambda u: problem.rhs(u), dt, step_index=1)
-    assert np.array_equal(one, other)
+    forms = (problem.array_rhs(grid), problem.rhs, lambda u: problem.rhs(u))
+    runs = [integrate(u0, scheme, rhs, dt, 7).tobytes() for rhs in forms]
+    steps = [scheme.step(u0, rhs, dt, step_index=1).tobytes()
+             for rhs in forms]
+    assert runs[0] == runs[1] == runs[2]
+    assert steps[0] == steps[1] == steps[2]
 
 
 def plain_kernel(u, f, dt, w1, s, w2):
@@ -487,23 +507,17 @@ ORACLE_WEIGHTS = {
 
 
 def oracle_divergence_step(problem, label, u0, dt, n_steps):
-    """First step at which any rhs input or step output is non-finite.
-
-    Checks after every rhs call (Problem.rhs rejects a non-finite input)
-    and after every step, as a step-by-step reference for integrate.
-    """
+    """First step whose output is not finite, checked after every step of
+    plain expressions: a step-by-step reference for integrate."""
     u = u0
     for i in range(n_steps):
         w1, s, w2 = ORACLE_WEIGHTS[label](i)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ut = u + dt * problem.rhs(u)
-                ub = w1 * ut + (1.0 - w1) * u
-                ut = u + (s * dt) * problem.rhs(ub)
-                ub = w2 * ut + (1.0 - w2) * u
-                out = u + dt * problem.rhs(ub)
-        except DivergenceError:
-            return i
+        with np.errstate(over="ignore", invalid="ignore"):
+            ut = u + dt * problem.rhs(u)
+            ub = w1 * ut + (1.0 - w1) * u
+            ut = u + (s * dt) * problem.rhs(ub)
+            ub = w2 * ut + (1.0 - w2) * u
+            out = u + dt * problem.rhs(ub)
         if not np.isfinite(out).all():
             return i
         u = out
@@ -524,9 +538,9 @@ def test_divergence_step_matches_per_call_checks(problem, n, dt, scheme):
     u0 = initial_condition(Grid1D(n))
     expected = oracle_divergence_step(problem, scheme.label(), u0, dt, 2000)
     assert expected is not None
-    # the array form checks once per step; the wrapped callable
-    # raises from Problem.rhs's own check at the first non-finite input
-    for rhs in (problem.rhs, lambda u: problem.rhs(u)):
+    # neither form of the rhs checks its input: the one per-step check
+    # finds the step
+    for rhs in (problem.array_rhs(Grid1D(n)), problem.rhs):
         with pytest.raises(DivergenceError) as info:
             integrate(u0, scheme, rhs, dt, 2000)
         assert info.value.step_index == expected
