@@ -240,7 +240,7 @@ def test_state_validation():
     for problem in PROBLEMS:
         assert problem.rhs(u).tobytes() == problem.array_rhs(Grid1D(4))(
             np.array(u, float)).tobytes()
-    for bad in (np.zeros((2, 8)), np.zeros((3, 30)), 1.0):
+    for bad in (np.zeros((2, 8)), 1.0):
         for call in (lambda: integrate(bad, ICN, LINEAR.rhs, dt, 1),
                      lambda: ICN.step(bad, LINEAR.rhs, dt),
                      *(lambda p=p: p.rhs(bad) for p in PROBLEMS)):
