@@ -307,22 +307,25 @@ def _write(name: str, path: Path, content: str) -> None:
         raise ParameterError(name, str(err)) from err
 
 
-def _check_output(name: str, path: Path) -> None:
+def _check_output(name: str, path: Path):
     """A usage error on flag ``name`` unless ``path`` is a file, or is
     missing from a directory that exists; one stat for a file that exists.
-    """
+    Returns what names the file to write: its (device, inode), or its
+    resolved path if it is missing; None for a device or a pipe, which any
+    number of outputs may share."""
     try:
-        mode = path.stat().st_mode
+        st = path.stat()
     except (FileNotFoundError, NotADirectoryError):
         if not path.parent.is_dir():
             raise ParameterError(
                 name, f"no directory {str(path.parent)!r} for {path.name}"
             ) from None
-        return
+        return path.resolve()
     except OSError as err:
         raise ParameterError(name, str(err)) from err
-    if stat.S_ISDIR(mode):
+    if stat.S_ISDIR(st.st_mode):
         raise ParameterError(name, f"{str(path)!r} is a directory")
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
 def _sized_by(args) -> str | None:
@@ -338,10 +341,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # fail before any work, not after a whole sweep; the command writes
-        # the files checked here
+        # the files checked here, and a second output to one file would
+        # replace the first
         outputs = _outputs(args)
+        files = {}
         for name, path in outputs.values():
-            _check_output(name, path)
+            file = _check_output(name, path)
+            if file in files:
+                raise ParameterError(name, f"{str(path)!r} is also the file "
+                                           f"of {flag(files[file])}")
+            if file is not None:
+                files[file] = name
         return args.func(args, outputs)
     except ParameterError as err:
         print(f"icnlab: error: {flag(err.parameter)}: {err}", file=sys.stderr)

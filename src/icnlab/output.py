@@ -1,20 +1,25 @@
 """Deterministic text renderers for solution, table, and stability files.
 
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
-order, newline line endings.  A stability map is assembled as one uint8
-buffer per file, in which zero bytes stand for nothing and are dropped
-before decoding (``_text``).  The CSV's buffer starts as the bytes that do
-not depend on theta, laid out once for one theta and copied under every
-other.  Its floats come from ``float_bytes``, whose row for each
-value holds exactly the bytes of ``format_float``.  A value of magnitude in
-[1e-99, 1e99) is scaled to six integer digits in float arithmetic, off by
-less than 1e-9, and rounded.  Within 1e-6 of a rounding tie that error
-could pick the wrong side, so such a value, like every zero, subnormal,
-non-finite or larger one, is formatted by ``format_float`` itself.
+order, newline line endings.  A stability map's text is laid out in uint8
+buffers in which zero bytes stand for nothing and are dropped by one
+bytes.translate: one buffer for the PGM (``_text``), and one per block of
+theta rows for the CSV, each at most CSV_BLOCK bytes and written as it is
+made.  The CSV's bytes that do not depend on theta are laid out once and
+copied under every theta.  Its floats come from ``float_bytes``, all of
+them before the first block, so that a map too large for memory fails
+before its file is opened.  The row for each value holds exactly the
+bytes of ``format_float``.  A value of magnitude in [1e-99, 1e99) is
+scaled to six integer digits in float arithmetic, off by less than 1e-9,
+and rounded.  Within 1e-6 of a rounding tie that error could pick the
+wrong side, so such a value, like every zero, subnormal, non-finite or
+larger one, is formatted by ``format_float`` itself.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,9 @@ FAILED_CELL = "DIVERGED"
 FLOAT_WIDTH = 13
 # the layout of float_bytes' rows: a sign byte, "0.00000e+00", a pad byte
 FLOAT_TEMPLATE = np.frombuffer(b"\x000.00000e+00\x00", np.uint8)
+# the most bytes of stability_csv's rows in one block: 24 theta rows of
+# 121 points
+CSV_BLOCK = 128 * 1024
 # the PGM's gray levels 0 .. 255 in decimal, zero-padded to three bytes
 GRAY_DIGITS = np.arange(256).astype("S3").view(np.uint8).reshape(256, 3)
 
@@ -42,20 +50,30 @@ def float_bytes(values: np.ndarray) -> np.ndarray:
     (n, FLOAT_WIDTH) uint8 array: the nonzero bytes of a row, in order,
     are the string's."""
     x = np.ravel(values)
-    magnitude = np.abs(x)
-    in_range = (magnitude >= 1e-99) & (magnitude < 1e99)
-    magnitude[~in_range] = 1.0
+    # three float arrays of x's size, each reused in place: ``scaled``
+    # holds |x|, then |x| scaled, then the mantissa; ``exponent``; ``work``
+    # holds 10^(5 - e), then the fraction test, then |e|
+    scaled = np.abs(x)
+    in_range = (scaled >= 1e-99) & (scaled < 1e99)
+    scaled[~in_range] = 1.0
     # |x| = scaled 10^(e - 5) with scaled in [1e5, 1e6), up to the rounding
     # of log10 at a power of ten, which rint and the carry absorb
-    exponent = np.floor(np.log10(magnitude))
-    scaled = magnitude * 10.0 ** (5.0 - exponent)
-    exact = in_range & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
-    mantissa = np.rint(scaled)
+    exponent = np.log10(scaled)
+    np.floor(exponent, out=exponent)
+    work = np.subtract(5.0, exponent)
+    scaled *= np.power(10.0, work, out=work)
+    np.subtract(scaled, np.floor(scaled, out=work), out=work)
+    work -= 0.5
+    exact = np.abs(work, out=work) > 1e-6
+    exact &= in_range
+    mantissa = np.rint(scaled, out=scaled)
     carry = mantissa == 1e6
     mantissa[carry] = 1e5
     exponent[carry] += 1.0
     # the six digits of the mantissa, then the two of the exponent
-    digits = (100.0 * mantissa + np.abs(exponent)).astype(np.uint32)
+    mantissa *= 100.0
+    mantissa += np.abs(exponent, out=work)
+    digits = mantissa.astype(np.uint32)
 
     out = np.tile(FLOAT_TEMPLATE, (x.size, 1))
     for column in (11, 10, 7, 6, 5, 4, 3, 1):
@@ -140,10 +158,16 @@ def sweep_markdown(result: SweepResult, norm_key: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stability_csv(stability_map: StabilityMap) -> str:
-    """Rows (theta, beta, |g|, stable), theta-major, beta ascending."""
+def stability_csv(stability_map: StabilityMap) -> Iterator[bytes]:
+    """Rows (theta, beta, |g|, stable), theta-major, beta ascending, as
+    blocks of bytes for ``write_text``: the header, then whole theta rows,
+    at most CSV_BLOCK bytes a block unless one row is longer.  Every value
+    is formatted here, before the first block is asked for."""
     theta = float_bytes(stability_map.theta_axis)
     n_theta, n_beta, w = len(theta), len(stability_map.beta_axis), FLOAT_WIDTH
+    # in the map's (beta, theta) order, which ravels without a copy
+    modulus = float_bytes(stability_map.modulus).reshape(n_beta, n_theta, w)
+    stable = stability_map.stable_mask
     # a line: theta, ",", beta, ",", |g|, ",", the flag, "\n"; the bytes of
     # all but theta, |g| and a "1" flag are one block under every theta
     lines = np.empty((n_beta, 3 * w + 5), np.uint8)
@@ -151,13 +175,23 @@ def stability_csv(stability_map: StabilityMap) -> str:
     lines[:, [w, 2 * w + 1, 3 * w + 2]] = ord(",")
     lines[:, 3 * w + 3] = ord("0")
     lines[:, 3 * w + 4] = ord("\n")
-    buf = np.empty((n_theta, n_beta, 3 * w + 5), np.uint8)
-    buf[:] = lines
-    buf[:, :, :w] = theta[:, None]
-    buf[:, :, 2 * w + 2:3 * w + 2] = float_bytes(
-        stability_map.modulus.T).reshape(n_theta, n_beta, w)
-    buf[stability_map.stable_mask.T, 3 * w + 3] = ord("1")
-    return "theta,beta,g_modulus,stable\n" + _text(buf)
+    rows = max(1, CSV_BLOCK // lines.nbytes)
+
+    def block(start: int) -> bytearray:
+        # the block's lines are laid out in its own bytes, which one
+        # translate compacts
+        part = slice(start, start + rows)
+        text = bytearray(len(theta[part]) * lines.nbytes)
+        buf = np.frombuffer(text, np.uint8).reshape((-1,) + lines.shape)
+        buf[:] = lines
+        buf[:, :, :w] = theta[part, None]
+        buf[:, :, 2 * w + 2:3 * w + 2] = modulus[:, part].swapaxes(0, 1)
+        # a stable point's "0" becomes "1"
+        buf[:, :, 3 * w + 3] += stable[:, part].T
+        return text.translate(None, b"\0")
+
+    return itertools.chain((b"theta,beta,g_modulus,stable\n",),
+                           map(block, range(0, n_theta, rows)))
 
 
 def stability_pgm(stability_map: StabilityMap) -> str:
@@ -184,6 +218,11 @@ def _text(buf: np.ndarray) -> str:
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_text(path: str | Path, content: str) -> None:
-    """Byte-exact write (no platform newline translation)."""
-    Path(path).write_bytes(content.encode("utf-8"))
+def write_text(path: str | Path, content: str | Iterable[bytes]) -> None:
+    """Write a text, or blocks of bytes in the order they come, to
+    ``path`` byte for byte (no platform newline translation).  Every file
+    an output flag names is written here."""
+    if isinstance(content, str):
+        content = (content.encode("utf-8"),)
+    with open(path, "wb") as file:
+        file.writelines(content)

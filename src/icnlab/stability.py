@@ -92,7 +92,11 @@ def scan_region(
     """Grid-evaluate |g| over the requested rectangle, with theta the
     variant's parameter; aa is judged on its two-step product without
     per-step normalization.  Theta is not limited to the weight's domain:
-    the map may extend past the schemes SchemeConfig accepts."""
+    the map may extend past the schemes SchemeConfig accepts.
+
+    The factor is taken on a theta row against a beta column, so only the
+    terms that depend on both broadcast to the map's (beta, theta) shape;
+    each point gets the same operations as a scalar call."""
     variant = as_variant(variant)
     if resolution < 2:
         raise ParameterError("resolution",
@@ -107,10 +111,13 @@ def scan_region(
                                            "low <= high")
     theta_axis = _axis(t_lo, t_hi, resolution)
     beta_axis = np.linspace(b_lo, b_hi, resolution)
-    theta, beta = np.meshgrid(theta_axis, beta_axis)
     # np.hypot is the hypot of abs(complex), so the map matches
-    # abs(complex(*period_factor(variant, theta, beta))) bit for bit
-    modulus = np.hypot(*period_factor(variant, theta, beta))
+    # abs(complex(*period_factor(variant, theta, beta))) bit for bit; its
+    # out= gives icn's factor, a beta column alone, the map's shape
+    modulus = np.hypot(
+        *period_factor(variant, theta_axis[None, :], beta_axis[:, None]),
+        out=np.empty((resolution, resolution)),
+    )
     return StabilityMap(
         variant=variant,
         theta_axis=theta_axis,

@@ -260,7 +260,8 @@ def test_criterion_7_reduction_identities():
     grid = Grid1D(64)
     dt = 0.5 * grid.dx
     u0 = initial_condition(grid)
-    baseline = integrate(u0, SchemeConfig.icn(), problem.rhs, dt, 100)
+    rhs = problem.array_rhs(grid)
+    baseline = integrate(u0, SchemeConfig.icn(), rhs, dt, 100)
     scale = np.abs(baseline).max()
     reduced = {
         "ga(0.5)": SchemeConfig.ga(0.5),
@@ -268,7 +269,7 @@ def test_criterion_7_reduction_identities():
         "theta(0.5)": SchemeConfig.theta_icn(0.5),
     }
     for name, scheme in reduced.items():
-        final = integrate(u0, scheme, problem.rhs, dt, 100)
+        final = integrate(u0, scheme, rhs, dt, 100)
         gap = np.abs(final - baseline).max()
         if gap > 1e-12 * scale:
             failures.append(f"{name} vs icn after 100 steps: {gap:.2e}")
@@ -282,7 +283,7 @@ def test_criterion_8_conservation():
     dt = 0.5 * grid.dx  # 400 steps to t = 1
     for scheme in ALL_SCHEMES:
         u0 = initial_condition(grid)
-        final = integrate(u0, scheme, linear.rhs, dt, 400)
+        final = integrate(u0, scheme, linear.array_rhs(grid), dt, 400)
         drift = abs(final.sum() - u0.sum())
         if drift > 1e-10:
             failures.append(f"linear {scheme.label()}: drift {drift:.2e}")
@@ -291,7 +292,8 @@ def test_criterion_8_conservation():
     dt = 0.5 * grid.dx**2  # 1800 steps to t = 1
     for scheme in ALL_SCHEMES:
         u0 = initial_condition(grid)
-        final = integrate(u0, scheme, viscous.rhs, dt, 1800)
+        final = integrate(u0, scheme, viscous.array_rhs(grid), dt,
+                          1800)
         drift = abs(final.sum() - u0.sum())
         if drift > 1e-10:
             failures.append(f"burgers {scheme.label()}: drift {drift:.2e}")
@@ -368,7 +370,7 @@ def snapshot_error(spec, scheme, n):
     grid = Grid1D(n)
     dt = spec.cfl * grid.dx / abs(spec.problem.advection_speed)
     final = integrate(
-        initial_condition(grid), scheme, spec.problem.rhs, dt,
+        initial_condition(grid), scheme, spec.problem.array_rhs(grid), dt,
         steps_for(spec.t_final, dt),
     )
     return final - spec.problem.exact_solution(grid.nodes(), spec.t_final)

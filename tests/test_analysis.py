@@ -382,7 +382,7 @@ def test_batched_rows_match_integrate(schemes, problem, n, n_steps):
     )
     assert diverged_at.tolist() == [-1] * rows
     for k, scheme in enumerate(schemes):
-        alone = integrate(u0, scheme, problem.rhs, dt, n_steps)
+        alone = integrate(u0, scheme, problem.array_rhs(grid), dt, n_steps)
         assert final[k].tobytes() == alone.tobytes(), scheme.label()
 
 
@@ -422,8 +422,8 @@ def per_cell(spec, scheme, resolution):
         def observer(i, state):
             sums[:] += norms(state - reference[(i + 1) * stride - 1])
     try:
-        final = integrate(initial_condition(grid), scheme, spec.problem.rhs,
-                          dt, steps, observer)
+        final = integrate(initial_condition(grid), scheme,
+                          spec.problem.array_rhs(grid), dt, steps, observer)
     except DivergenceError as err:
         return None, err.step_index
     if spec.is_burgers:
@@ -558,8 +558,9 @@ def test_diverged_at_matches_integrate_alone(spec):
             grid = Grid1D(spec.n_cells if spec.is_burgers else resolution)
             dt = spec.dt(resolution)
             try:
-                integrate(initial_condition(grid), scheme, spec.problem.rhs,
-                          dt, steps_for(spec.t_final, dt))
+                integrate(initial_condition(grid), scheme,
+                          spec.problem.array_rhs(grid), dt,
+                          steps_for(spec.t_final, dt))
                 expected = None
             except DivergenceError as err:
                 expected = err.step_index

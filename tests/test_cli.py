@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icnlab
-from icnlab import analysis, cli
+from icnlab import analysis, cli, output
 from icnlab.cli import EXIT_NUMERICAL, VARIANTS, build_parser, flag, main
 from icnlab.problems import linear_advection
 from icnlab.schemes import PARAMETER, SchemeVariant
@@ -864,6 +864,54 @@ def test_output_os_error_exits_2(tmp_path, capsys, name):
     assert main(["stability", "--variant", "ga", "--resolution", "5",
                  "--out", str(path)]) == 2
     assert capsys.readouterr().err.startswith("icnlab: error: --out: ")
+
+
+def test_stability_formats_before_opening_its_output(tmp_path, capsys,
+                                                    monkeypatch):
+    # every value is formatted before --out is opened, so an allocation
+    # that fails there leaves the file that was there untouched
+    out = tmp_path / "m.csv"
+    out.write_bytes(b"earlier output\n")
+
+    def fail(values):
+        raise MemoryError("float_bytes")
+    monkeypatch.setattr(output, "float_bytes", fail)
+    assert main(["stability", "--variant", "ga", "--resolution", "5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("icnlab: error: --resolution: too large for memory")
+    assert out.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "file"])
+@pytest.mark.parametrize("pgm", ["m.csv", "./m.csv", "link.csv"])
+def test_stability_out_and_pgm_on_one_file_exit_2(tmp_path, capsys,
+                                                  monkeypatch, existing, pgm):
+    # two flags that name one file, by any spelling, would leave only the
+    # second output: a usage error on the second flag, before any work
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        Path("m.csv").write_bytes(b"earlier output\n")
+    Path("link.csv").symlink_to("m.csv")
+    assert main(["stability", "--variant", "ga", "--resolution", "5",
+                 "--out", "m.csv", "--pgm", pgm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("icnlab: error: --pgm: "), err
+    if existing:
+        assert Path("m.csv").read_bytes() == b"earlier output\n"
+    else:
+        assert not Path("m.csv").exists()
+
+
+def test_stability_out_and_pgm_on_one_pipe(tmp_path):
+    # a pipe is no file to overwrite: both outputs reach it, in order
+    proc = run_cli("stability", "--variant", "ga", "--resolution", "2",
+                   "--out", "/dev/stdout", "--pgm", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    csv_out, pgm_out = tmp_path / "m.csv", tmp_path / "m.pgm"
+    assert main(["stability", "--variant", "ga", "--resolution", "2",
+                 "--out", str(csv_out), "--pgm", str(pgm_out)]) == 0
+    assert proc.stdout == csv_out.read_text() + pgm_out.read_text()
 
 
 @pytest.mark.parametrize("argv, where", [

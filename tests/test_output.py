@@ -15,6 +15,7 @@ from icnlab.analysis import (
 )
 from icnlab.core import Grid1D
 from icnlab.output import (
+    CSV_BLOCK,
     FLOAT_WIDTH,
     float_bytes,
     format_compact,
@@ -27,7 +28,12 @@ from icnlab.output import (
 )
 from icnlab.problems import linear_advection
 from icnlab.schemes import SchemeConfig, SchemeVariant
-from icnlab.stability import STABILITY_TOLERANCE, StabilityMap
+from icnlab.stability import (
+    STABILITY_TOLERANCE,
+    StabilityMap,
+    period_factor,
+    scan_region,
+)
 
 
 def test_format_float_six_significant_digits():
@@ -129,6 +135,11 @@ def test_solution_csv_layout():
     assert len(lines) == 5
 
 
+def csv_text(stability_map):
+    """The text of stability_csv's blocks, joined."""
+    return b"".join(stability_csv(stability_map)).decode("ascii")
+
+
 def synthetic_map():
     theta = np.array([0.0, 0.5, 1.0])
     beta = np.array([0.0, 1.0])
@@ -143,7 +154,7 @@ def synthetic_map():
 
 
 def test_stability_csv_layout():
-    lines = stability_csv(synthetic_map()).splitlines()
+    lines = csv_text(synthetic_map()).splitlines()
     assert lines[0] == "theta,beta,g_modulus,stable"
     # theta-major ordering: both beta rows for theta = 0 come first
     assert lines[1] == "0.00000e+00,0.00000e+00,1.00000e+00,1"
@@ -240,5 +251,39 @@ def stability_maps(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(stability_maps())
 def test_map_renderers_match_per_point_oracles(stability_map):
-    assert stability_csv(stability_map) == plain_stability_csv(stability_map)
+    assert csv_text(stability_map) == plain_stability_csv(stability_map)
     assert stability_pgm(stability_map) == plain_stability_pgm(stability_map)
+
+
+def block_lines(stability_map):
+    """The lines of each of stability_csv's blocks after the header."""
+    header, *blocks = stability_csv(stability_map)
+    assert header == b"theta,beta,g_modulus,stable\n"
+    assert all(block.endswith(b"\n") for block in blocks)
+    return [block.count(b"\n") for block in blocks]
+
+
+def test_stability_csv_blocks_of_a_121_point_map():
+    # 24 theta rows of 121 points fit in a block: five full blocks, then
+    # one row; each point still matches its oracle
+    stability_map = scan_region("aa", resolution=121)
+    assert block_lines(stability_map) == [24 * 121] * 5 + [121]
+    assert csv_text(stability_map) == plain_stability_csv(stability_map)
+
+
+def test_stability_csv_theta_row_longer_than_a_block():
+    # 3000 points of up to 44 bytes are more than CSV_BLOCK: one theta row
+    # a block, each whole
+    beta = np.linspace(0.0, 1.2, 3000)
+    modulus = np.hypot(*period_factor(SchemeVariant.GA, np.array([0.3, 0.7]),
+                                      beta[:, None]))
+    stability_map = StabilityMap(
+        variant=SchemeVariant.GA,
+        theta_axis=np.array([0.3, 0.7]),
+        beta_axis=beta,
+        modulus=modulus,
+        stable_mask=modulus <= 1.0 + STABILITY_TOLERANCE,
+    )
+    assert 3000 * (3 * FLOAT_WIDTH + 5) > CSV_BLOCK
+    assert block_lines(stability_map) == [3000, 3000]
+    assert csv_text(stability_map) == plain_stability_csv(stability_map)

@@ -88,6 +88,22 @@ def test_scan_ga_half_column_boundary():
         assert scan.stable_mask[i, j] == expected, f"beta={beta}"
 
 
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_scan_fills_the_map_with_per_point_factors(variant):
+    # a theta row against a beta column: icn's factor has no theta, yet
+    # its map has the full (beta, theta) shape, and every point is the
+    # scalar factor's modulus bit for bit
+    scan = scan_region(variant, (0.1, 0.9), (0.0, 1.5), resolution=7)
+    assert scan.modulus.shape == scan.stable_mask.shape == (7, 7)
+    for i, beta in enumerate(scan.beta_axis.tolist()):
+        for j, theta in enumerate(scan.theta_axis.tolist()):
+            assert scan.modulus[i, j] == abs(g(variant, theta, beta))
+    assert np.array_equal(scan.stable_mask,
+                          scan.modulus <= 1.0 + STABILITY_TOLERANCE)
+    if variant is SchemeVariant.ICN:
+        assert (scan.modulus == scan.modulus[:, :1]).all()
+
+
 def test_scan_zero_beta_row():
     for variant in ("ga", "aa"):
         scan = scan_region(variant, resolution=41)
