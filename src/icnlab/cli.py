@@ -298,16 +298,17 @@ def _outputs(args) -> dict[str, tuple[str, Path]]:
             for norm in _items(args, "norms", NORM_KEYS)}
 
 
-def _write(name: str, path: Path, content: str) -> None:
-    """Write ``path``, which flag ``name`` gives; a failed write is a usage
-    error on that flag."""
+def _write(name: str, path: Path, content) -> None:
+    """Write ``content``, as output.write_text takes it, to ``path``,
+    which flag ``name`` gives; a failed write is a usage error on that
+    flag."""
     try:
         output.write_text(path, content)
     except OSError as err:
         raise ParameterError(name, str(err)) from err
 
 
-def _check_output(name: str, path: Path):
+def _check_output(name: str, path: Path) -> tuple | Path | None:
     """A usage error on flag ``name`` unless ``path`` is a file, or is
     missing from a directory that exists; one stat for a file that exists.
     Returns what names the file to write: its (device, inode), or its

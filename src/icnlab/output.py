@@ -17,7 +17,6 @@ larger one, is formatted by ``format_float`` itself.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -169,7 +168,7 @@ def stability_csv(stability_map: StabilityMap) -> Iterator[bytes]:
     modulus = float_bytes(stability_map.modulus).reshape(n_beta, n_theta, w)
     stable = stability_map.stable_mask
     # a line: theta, ",", beta, ",", |g|, ",", the flag, "\n"; the bytes of
-    # all but theta, |g| and a "1" flag are one block under every theta
+    # all but theta, |g| and a "1" flag are laid out once, for every theta
     lines = np.empty((n_beta, 3 * w + 5), np.uint8)
     lines[:, w + 1:2 * w + 1] = float_bytes(stability_map.beta_axis)
     lines[:, [w, 2 * w + 1, 3 * w + 2]] = ord(",")
@@ -177,21 +176,22 @@ def stability_csv(stability_map: StabilityMap) -> Iterator[bytes]:
     lines[:, 3 * w + 4] = ord("\n")
     rows = max(1, CSV_BLOCK // lines.nbytes)
 
-    def block(start: int) -> bytearray:
-        # the block's lines are laid out in its own bytes, which one
-        # translate compacts
-        part = slice(start, start + rows)
-        text = bytearray(len(theta[part]) * lines.nbytes)
-        buf = np.frombuffer(text, np.uint8).reshape((-1,) + lines.shape)
-        buf[:] = lines
-        buf[:, :, :w] = theta[part, None]
-        buf[:, :, 2 * w + 2:3 * w + 2] = modulus[:, part].swapaxes(0, 1)
-        # a stable point's "0" becomes "1"
-        buf[:, :, 3 * w + 3] += stable[:, part].T
-        return text.translate(None, b"\0")
+    def blocks():
+        yield b"theta,beta,g_modulus,stable\n"
+        for start in range(0, n_theta, rows):
+            # the block's lines are laid out in its own bytes, which one
+            # translate compacts
+            part = slice(start, start + rows)
+            text = bytearray(len(theta[part]) * lines.nbytes)
+            buf = np.frombuffer(text, np.uint8).reshape((-1,) + lines.shape)
+            buf[:] = lines
+            buf[:, :, :w] = theta[part, None]
+            buf[:, :, 2 * w + 2:3 * w + 2] = modulus[:, part].swapaxes(0, 1)
+            # a stable point's "0" becomes "1"
+            buf[:, :, 3 * w + 3] += stable[:, part].T
+            yield text.translate(None, b"\0")
 
-    return itertools.chain((b"theta,beta,g_modulus,stable\n",),
-                           map(block, range(0, n_theta, rows)))
+    return blocks()
 
 
 def stability_pgm(stability_map: StabilityMap) -> str:
