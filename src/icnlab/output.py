@@ -3,10 +3,10 @@
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
 order, newline line endings.  A stability map's text is laid out in uint8
 buffers in which zero bytes stand for nothing and are dropped by one
-bytes.translate: one buffer for the PGM (``_text``), and one per block of
-theta rows for the CSV, each at most CSV_BLOCK bytes and written as it is
-made.  The CSV's bytes that do not depend on theta are laid out once and
-copied under every theta.  Its floats come from ``float_bytes``, all of
+bytes.translate: one buffer for the PGM, and one per block of theta rows
+for the CSV, each at most CSV_BLOCK bytes and written as it is made.  The
+CSV's bytes that do not depend on theta are laid out once and copied
+under every theta.  Its floats come from ``float_bytes``, all of
 them before the first block, so that a map too large for memory fails
 before its file is opened.  The row for each value holds exactly the
 bytes of ``format_float``.  A value of magnitude in [1e-99, 1e99) is
@@ -210,12 +210,8 @@ def stability_pgm(stability_map: StabilityMap) -> str:
     buf[:, :, :3] = GRAY_DIGITS[gray[::-1]]
     buf[:, :, 3] = ord(" ")
     buf[:, -1, 3] = ord("\n")
-    return f"P2\n{width} {height}\n255\n" + _text(buf)
-
-
-def _text(buf: np.ndarray) -> str:
-    """The nonzero bytes of ``buf`` in order, as text: one bytes.translate."""
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
+    text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    return f"P2\n{width} {height}\n255\n" + text
 
 
 def write_text(path: str | Path, content: str | Iterable[bytes]) -> None:
