@@ -292,8 +292,7 @@ def test_criterion_8_conservation():
     dt = 0.5 * grid.dx**2  # 1800 steps to t = 1
     for scheme in ALL_SCHEMES:
         u0 = initial_condition(grid)
-        final = integrate(u0, scheme, viscous.array_rhs(grid), dt,
-                          1800)
+        final = integrate(u0, scheme, viscous.array_rhs(grid), dt, 1800)
         drift = abs(final.sum() - u0.sum())
         if drift > 1e-10:
             failures.append(f"burgers {scheme.label()}: drift {drift:.2e}")
