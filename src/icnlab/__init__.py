@@ -15,7 +15,6 @@ from .analysis import (
     advection_sweep,
     burgers_reference,
     burgers_sweep,
-    error_norms,
     observed_order,
     run_sweep,
     steps_for,
@@ -29,12 +28,7 @@ from .problems import (
     linear_advection,
     semilinear_advection,
 )
-from .schemes import (
-    SchemeConfig,
-    SchemeVariant,
-    integrate,
-    linear_stencil,
-)
+from .schemes import SchemeConfig, SchemeVariant, integrate
 from .stability import STABILITY_TOLERANCE, StabilityMap, scan_region
 
 __version__ = "0.1.0"
@@ -58,11 +52,9 @@ __all__ = [
     "burgers",
     "burgers_reference",
     "burgers_sweep",
-    "error_norms",
     "initial_condition",
     "integrate",
     "linear_advection",
-    "linear_stencil",
     "observed_order",
     "run_sweep",
     "scan_region",

@@ -11,11 +11,9 @@ produced:
     running mean of each norm ("norm in time").
 
 The Burgers reference is one ICN integration at dt_fine, run in one batch
-with every cell of the sweep (_burgers_batch): each cell step ends on a
-fine step, so the reference is row 0 of one run on the fine clock and
-each divisor's cells follow as rows that step only when due.  The library
-keeps no state between calls: without a cache directory every call
-integrates the reference.  With one, a sweep's trajectory is persisted as
+with every cell of the sweep (_burgers_batch).  The library keeps no
+state between calls: without a cache directory every call integrates the
+reference.  With one, a sweep's trajectory is persisted as
 ``burgers-ref-...-every<cadence>.npy``, the one file read back, so a warm
 cache integrates nothing and its cells run on the finest divisor's
 clock.  The SHA-256 of its states is written beside it as
@@ -51,6 +49,11 @@ from .schemes import SchemeConfig, _run
 
 @dataclass(frozen=True)
 class NormTriple:
+    """L1 = dx sum|e|, L2 = dx sqrt(sum e^2) and Linf = max|e| of an error
+    e on N nodes, dx = 1/N.  L2 carries an extra sqrt(dx) over the usual
+    discrete L2 norm, which is why second-order schemes show L2 orders of
+    2.5 in the refinement tables."""
+
     l1: float
     l2: float
     linf: float
@@ -60,23 +63,6 @@ class NormTriple:
 
 
 NORM_KEYS = ("l1", "l2", "linf")
-
-
-def error_norms(numerical: np.ndarray, reference: np.ndarray) -> NormTriple:
-    """L1 = dx sum|e|, L2 = dx sqrt(sum e^2), Linf = max|e|, for two states
-    of N values, dx = 1/N.
-
-    Note the L2 definition carries an extra sqrt(dx) relative to the usual
-    discrete L2 norm, which is why second-order schemes show L2 orders of
-    2.5 in the refinement tables.
-    """
-    if np.shape(numerical) != np.shape(reference):
-        raise ValueError(f"grid mismatch: shapes {np.shape(numerical)} and "
-                         f"{np.shape(reference)}")
-    # the mean over one state: 0 + x and x / 1 are exact
-    norms = _MeanNorms(Grid1D(len(numerical)).dx, 1)
-    norms.add(np.subtract(numerical, reference)[None, None])
-    return norms.result(0)
 
 
 def observed_order(e_coarse: float, e_fine: float) -> float:
@@ -438,11 +424,12 @@ def _states_digest(states: np.ndarray) -> bytes:
 def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
     """A cached trajectory, or None unless the file holds a float64 array
     of exactly ``shape`` with every value finite, whose digest is the one
-    in the ``.sha256`` file beside it."""
+    in the ``.sha256`` file beside it.  A header whose shape cannot be
+    allocated, or overflows the element count, is a miss too."""
     try:
         states = np.load(path, allow_pickle=False)
         recorded = path.with_suffix(".sha256").read_bytes()
-    except (OSError, ValueError, EOFError):
+    except (OSError, ValueError, EOFError, MemoryError, OverflowError):
         return None
     if (
         not isinstance(states, np.ndarray)

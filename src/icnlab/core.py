@@ -1,10 +1,9 @@
 """Uniform periodic 1-D grid and centered difference operators.
 
 A state is a plain array of nodal values on the grid: u[j] lives at node
-j, and the grid follows from its length.  Everything downstream (problem
-right-hand sides, time steppers, stencil oracles) is built from the
-periodic operators defined here.  A value from outside that is out of its
-domain raises ParameterError, which names it.
+j, and the grid follows from its length.  The problem right-hand sides
+take their periodic neighbours from PeriodicShifts.  A value from outside
+that is out of its domain raises ParameterError, which names it.
 """
 from __future__ import annotations
 
@@ -65,29 +64,6 @@ class Grid1D:
         return np.arange(self.n_cells) * self.dx
 
 
-# The whole-state operators, with np.roll as the periodic wrap. They stay as
-# the plain statement of the operators: the closed-form stencils and the
-# tests use them as oracles. The right-hand sides use the forms in
-# PeriodicShifts, which give the same numbers without np.roll's per-call
-# cost.
-
-def delta1_array(values: np.ndarray) -> np.ndarray:
-    return np.roll(values, -1) - np.roll(values, 1)
-
-
-def delta2_array(values: np.ndarray) -> np.ndarray:
-    return np.roll(values, -2) - 2.0 * values + np.roll(values, 2)
-
-
-def delta3_array(values: np.ndarray) -> np.ndarray:
-    return (
-        np.roll(values, -3)
-        - 3.0 * np.roll(values, -1)
-        + 3.0 * np.roll(values, 1)
-        - np.roll(values, 3)
-    )
-
-
 class PeriodicShifts:
     """The periodic neighbours j + 1 and j - 1 along the last axis of values
     of shape (n,) or, with ``rows``, (rows, n).
@@ -95,12 +71,12 @@ class PeriodicShifts:
     ``gather(values)`` stacks the two neighbours on a new first axis:
     ``[np.roll(values, -1), np.roll(values, 1)]`` for one row, and the same
     row by row for (rows, n), in a fresh array, through an index built
-    once.  ``difference(values)`` is their difference, ``delta1_array`` row
-    by row, in a fresh array, with no neighbour array stacked: it subtracts
-    two slices of the flat C-ordered values and then redoes the first and
-    last entry of each row, which that subtraction takes across a row end.
-    Both give the np.roll forms' bits, and the right-hand sides do the
-    arithmetic of those forms on them in the same order.
+    once.  ``difference(values)`` is the first minus the second, in a
+    fresh array, with no neighbour array stacked: it subtracts two slices
+    of the flat C-ordered values and then redoes the first and last entry
+    of each row, which that subtraction takes across a row end.  Both give
+    the np.roll forms' bits, and the right-hand sides do the arithmetic of
+    those forms on them in the same order.
     """
 
     def __init__(self, n: int, rows: int | None = None):

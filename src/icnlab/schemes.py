@@ -19,27 +19,16 @@ and 1 - theta_odd (arithmetic mean 1/2).
 Read as a Runge-Kutta method, the step has nodes c = (0, w1, s w2), a21 =
 w1, a32 = s w2 and b = (0, 0, 1).  Its stability polynomial is
 R(z) = 1 + z + c2 z^2 + c3 z^3 with (c2, c3) = (s w2, s w1 w2)
-(coefficients).  Its local error is dt^2 (s w2 - 1/2) L'(u) L(u), so it is
-second order iff s w2 = 1/2: ga meets that at every theta1, theta's and
-swapped's errors +-(theta - 1/2) mirror each other, and aa's pair of steps
-cancels its error (theta - 1/2) + (1/2 - theta).  On linear advection
-u_t + a u_x = 0, with R = a dt / (2 dx), the step is the seven-point
-stencil
+(period_coefficients).  Its local error is dt^2 (s w2 - 1/2) L'(u) L(u),
+so it is second order iff s w2 = 1/2: ga meets that at every theta1,
+theta's and swapped's errors +-(theta - 1/2) mirror each other, and aa's
+pair of steps cancels its error (theta - 1/2) + (1/2 - theta).  A
+Fourier mode gains the factor R(-2i beta) (stability.amplification); the
+stability module docstring defines beta and states where swapped is
+unstable.
 
-    u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u        (linear_stencil)
-
-and a Fourier mode with beta = R sin(k dx) gains the factor R(z) at
-z = -2i beta, the stability polynomial rather than the Courant number
-(stability.amplification), under which swapped is weakly unstable for
-theta > 1/2 (the stability module docstring).
-
-One loop, ``_run``, advances every step; its docstring says how the rows
-of a batch each take their own scheme, dt and stride, so that rows of
-different time steps share one clock (the Burgers sweep), and states the
-one rule by which a step diverges.
-``_run_row`` is its one-row case, which ``integrate`` and SchemeConfig.step
-call: it takes one state (core.as_state) and a positive finite dt, and
-raises DivergenceError with the step that diverged.
+One loop, ``_run``, advances every step, and ``_run_row`` is its one-row
+case; their docstrings state the rules.
 """
 from __future__ import annotations
 
@@ -50,14 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    DivergenceError,
-    ParameterError,
-    as_state,
-    delta1_array,
-    delta2_array,
-    delta3_array,
-)
+from .core import DivergenceError, ParameterError, as_state
 
 ArrayOperator = Callable[[np.ndarray], np.ndarray]
 
@@ -136,35 +118,15 @@ WEIGHTS: dict[SchemeVariant, Callable[..., tuple]] = {
 }
 
 
-def coefficients(w1: float, s: float, w2: float) -> tuple[float, float]:
-    """(c2, c3) = (s w2, s w1 w2) of a step of weights (w1, s, w2)."""
-    return s * w2, s * w1 * w2
-
-
 def period_coefficients(variant: SchemeVariant, p=None) -> tuple:
     """(c2, c3) of each step in one period of the variant's weights.
 
     p may be an array.  ga's is written as (1/2, theta1/2), its constraint
-    s w2 = 1/2 without theta2 = 1/(4 theta1), so theta1 = 0 has a value.
+    s w2 = 1/2 without w2 = 1/(4 theta1), so theta1 = 0 has a value.
     """
     if variant is SchemeVariant.GA:
         return ((0.5, 0.5 * p),)
-    return tuple(coefficients(*weights) for weights in WEIGHTS[variant](p))
-
-
-def linear_stencil(
-    u: np.ndarray, courant: float, w1: float, s: float, w2: float
-) -> np.ndarray:
-    """The step of weights (w1, s, w2) on u_t + a u_x = 0 in closed form,
-    R = a dt / (2 dx): u' = u - R d1 u + c2 R^2 d2 u - c3 R^3 d3 u.  A
-    variant's step is linear_stencil(u, R, *scheme.weights(i))."""
-    c2, c3 = coefficients(w1, s, w2)
-    return (
-        u
-        - courant * delta1_array(u)
-        + c2 * courant * courant * delta2_array(u)
-        - c3 * courant * courant * courant * delta3_array(u)
-    )
+    return tuple((s * w2, s * w1 * w2) for w1, s, w2 in WEIGHTS[variant](p))
 
 
 @dataclass(frozen=True)
@@ -174,8 +136,9 @@ class SchemeConfig:
 
     PARAMETER names p per variant, and errors use that name: theta for
     theta and swapped, theta1 for ga, theta_odd for aa; icn takes none, so
-    its p is None.  Derived weights are never supplied directly: a ga config
-    exposes theta2 = 1/(4 theta1), an aa config theta_even = 1 - theta_odd.
+    its p is None.  Derived weights are never supplied directly: WEIGHTS
+    gives ga's theta2 = 1/(4 theta1) as weights()[2] and aa's theta_even =
+    1 - theta_odd as weights(1)[0].
     """
 
     variant: SchemeVariant | str
@@ -215,18 +178,6 @@ class SchemeConfig:
     @classmethod
     def aa(cls, theta_odd: float) -> "SchemeConfig":
         return cls(SchemeVariant.AA, theta_odd)
-
-    @property
-    def theta2(self) -> float:
-        if self.variant is not SchemeVariant.GA:
-            raise AttributeError("theta2 is defined for the ga scheme only")
-        return self.weights()[2]
-
-    @property
-    def theta_even(self) -> float:
-        if self.variant is not SchemeVariant.AA:
-            raise AttributeError("theta_even is defined for the aa scheme only")
-        return self.weights(1)[0]
 
     def label(self) -> str:
         """Short deterministic tag used in table output, e.g. ga(0.6)."""

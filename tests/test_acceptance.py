@@ -27,13 +27,9 @@ from icnlab.problems import (
     linear_advection,
     semilinear_advection,
 )
-from icnlab.schemes import (
-    SchemeConfig,
-    SchemeVariant,
-    integrate,
-    linear_stencil,
-)
+from icnlab.schemes import SchemeConfig, SchemeVariant, integrate
 from icnlab.stability import period_factor, scan_region
+from scalar_ops import linear_stencil
 
 ALL_SCHEMES = (
     SchemeConfig.icn(),

@@ -12,7 +12,6 @@ from icnlab.analysis import (
     advection_sweep,
     burgers_reference,
     burgers_sweep,
-    error_norms,
     observed_order,
     run_sweep,
     steps_for,
@@ -31,6 +30,7 @@ from icnlab.schemes import (
     _run,
     integrate,
 )
+from scalar_ops import error_norms
 
 ICN = SchemeConfig.icn()
 

@@ -395,6 +395,14 @@ def _corrupt_trajectory(path):
         buffer = io.BytesIO()
         np.save(buffer, array)
         corruptions[name] = buffer.getvalue()
+    # headers whose shape cannot be allocated (MemoryError) or whose element
+    # count overflows int64 (OverflowError)
+    for name, shape in (("unallocatable", (10**12,)),
+                        ("count-overflows", (10**30,))):
+        buffer = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buffer, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        corruptions[name] = buffer.getvalue() + bytes(64)
     return corruptions
 
 

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from icnlab.core import (
-    Grid1D,
-    PeriodicShifts,
-    delta1_array,
-    delta2_array,
-    delta3_array,
-)
+from icnlab.core import Grid1D, PeriodicShifts
 from scalar_ops import (
     delta1,
+    delta1_array,
     delta2,
+    delta2_array,
     delta3,
+    delta3_array,
     second_derivative,
     second_derivative_array,
     wrap_index,

@@ -3,10 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icnlab.core import (
-    Grid1D,
-    delta1_array,
-)
+from icnlab.core import Grid1D
 from icnlab.problems import (
     Problem,
     ProblemKind,
@@ -15,7 +12,7 @@ from icnlab.problems import (
     linear_advection,
     semilinear_advection,
 )
-from scalar_ops import second_derivative_array
+from scalar_ops import delta1_array, second_derivative_array
 
 
 def test_linear_rhs_constant_field():

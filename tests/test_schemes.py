@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icnlab.core import (
-    DivergenceError,
-    Grid1D,
-    ParameterError,
-    delta1_array,
-    delta2_array,
-    delta3_array,
-)
+from icnlab.core import DivergenceError, Grid1D, ParameterError
 from icnlab.problems import (
     burgers,
     initial_condition,
@@ -26,12 +19,17 @@ from icnlab.schemes import (
     _factors,
     _run,
     _step,
-    coefficients,
     integrate,
-    linear_stencil,
     period_coefficients,
 )
-from scalar_ops import second_derivative_array
+from scalar_ops import (
+    delta1_array,
+    delta2_array,
+    delta3_array,
+    error_norms,
+    linear_stencil,
+    second_derivative_array,
+)
 
 LINEAR = linear_advection()
 ICN = SchemeConfig.icn()
@@ -229,8 +227,6 @@ def test_state_validation():
     # compares two states of one shape; neither is a parameter with a flag,
     # so both raise a plain ValueError.  Problem.rhs takes one state too:
     # on rows it would take each row's end neighbours from the next row
-    from icnlab.analysis import error_norms
-
     u = [0, 1, 0, -1]
     dt = courant_dt(Grid1D(4), 0.25)
     out = ICN.step(u, LINEAR.rhs, dt)
@@ -254,8 +250,6 @@ def test_state_validation():
 
 def test_integrate_published_linear_l1():
     # snapshot error at t = 0.5 with CFL 0.5 (200 steps at N = 200)
-    from icnlab.analysis import error_norms
-
     grid = Grid1D(200)
     dt = 0.5 * grid.dx
     expected = {"icn": 1.8e-4, "aa": 1.9e-4}
@@ -333,10 +327,9 @@ def test_scheme_config_validation():
 
 
 def test_scheme_config_derived_weights():
-    assert SchemeConfig.ga(0.625).theta2 == 0.4
-    assert SchemeConfig.aa(0.6).theta_even == pytest.approx(0.4, abs=0)
-    with pytest.raises(AttributeError):
-        _ = SchemeConfig.icn().theta2
+    # ga's theta2 = 1/(4 theta1) and aa's theta_even = 1 - theta_odd
+    assert SchemeConfig.ga(0.625).weights()[2] == 0.4
+    assert SchemeConfig.aa(0.6).weights(1)[0] == pytest.approx(0.4, abs=0)
 
 
 def test_scheme_config_labels():
@@ -354,7 +347,7 @@ def test_scheme_config_takes_a_variant_name():
     assert ga.variant is SchemeVariant.GA
     assert ga == SchemeConfig.ga(0.6)
     assert ga.label() == "ga(0.6)"
-    assert ga.theta2 == SchemeConfig.ga(0.6).theta2
+    assert ga.weights()[2] == SchemeConfig.ga(0.6).weights()[2]
     assert SchemeConfig("icn").label() == "icn"
     with pytest.raises(ParameterError) as info:
         SchemeConfig("nope", 0.6)
@@ -583,7 +576,8 @@ def minus_icn_remainder(scheme, step_index=0, dt=1e-4):
     grid = Grid1D(30)
     problem = burgers()
     u = initial_condition(grid)
-    c2, c3 = coefficients(*scheme.weights(step_index))
+    w1, s, w2 = scheme.weights(step_index)
+    c2, c3 = s * w2, s * w1 * w2
 
     def jacobian(v):
         return (-delta1_array(u * v) / (2.0 * grid.dx)
