@@ -33,6 +33,9 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+# tokenize costs no import time: dataclasses imports inspect, which
+# imports it
+from tokenize import TokenError
 
 import numpy as np
 
@@ -424,12 +427,14 @@ def _states_digest(states: np.ndarray) -> bytes:
 def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
     """A cached trajectory, or None unless the file holds a float64 array
     of exactly ``shape`` with every value finite, whose digest is the one
-    in the ``.sha256`` file beside it.  A header whose shape cannot be
-    allocated, or overflows the element count, is a miss too."""
+    in the ``.sha256`` file beside it.  A header that np.load cannot parse
+    (TokenError), or whose shape cannot be allocated or overflows the
+    element count, is a miss too."""
     try:
         states = np.load(path, allow_pickle=False)
         recorded = path.with_suffix(".sha256").read_bytes()
-    except (OSError, ValueError, EOFError, MemoryError, OverflowError):
+    except (OSError, ValueError, EOFError, MemoryError, OverflowError,
+            TokenError):
         return None
     if (
         not isinstance(states, np.ndarray)

@@ -383,9 +383,12 @@ def test_sweep_cache_write_failure_exits_2(tmp_path, capsys, suffix):
 
 def _corrupt_trajectory(path):
     states = np.load(path)
+    good = path.read_bytes()
     corruptions = {
-        "truncated": path.read_bytes()[: path.stat().st_size // 2],
+        "truncated": good[: len(good) // 2],
         "empty": b"",
+        # the header's shape left unclosed: np.load's tokenizer fails
+        "unparsable-header": good.replace(b"), }", b" , }", 1),
     }
     nan = states.copy()
     nan[3, 5] = np.nan
