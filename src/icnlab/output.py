@@ -3,15 +3,17 @@
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
 order, newline line endings.  A stability map's text is laid out in uint8
 buffers in which zero bytes stand for nothing and are dropped by one
-bytes.translate: one buffer for the PGM, and one per block of theta rows
-for the CSV, each at most CSV_BLOCK bytes and written as it is made.  The
+bytes.translate: one buffer for the PGM, gathered from GRAY_CELLS in one
+indexing, and one per block of theta rows for the CSV, each at most
+CSV_BLOCK bytes and written as it is made.  The
 CSV's bytes that do not depend on theta are laid out once and copied
 under every theta.  Its floats come from ``float_bytes``, all of
 them before the first block, so that a map too large for memory fails
 before its file is opened.  The row for each value holds exactly the
 bytes of ``format_float``.  A value of magnitude in [1e-99, 1e99) is
 scaled to six integer digits in float arithmetic, off by less than 1e-9,
-and rounded.  Within 1e-6 of a rounding tie that error could pick the
+and rounded; its digits then come by exact integer floor division, with
+no boolean-mask pass over the rows.  Within 1e-6 of a rounding tie that error could pick the
 wrong side, so such a value, like every zero, subnormal, non-finite or
 larger one, is formatted by ``format_float`` itself.
 """
@@ -35,8 +37,12 @@ FLOAT_TEMPLATE = np.frombuffer(b"\x000.00000e+00\x00", np.uint8)
 # the most bytes of stability_csv's rows in one block: 24 theta rows of
 # 121 points
 CSV_BLOCK = 128 * 1024
-# the PGM's gray levels 0 .. 255 in decimal, zero-padded to three bytes
-GRAY_DIGITS = np.arange(256).astype("S3").view(np.uint8).reshape(256, 3)
+# the PGM's cells, one uint32 per gray level 0 .. 255: its decimal digits,
+# NUL-padded to three bytes, and a space; built by copies, not integer
+# ufuncs, whose first run at import costs resident memory
+GRAY_CELLS = np.full((256, 4), ord(" "), np.uint8)
+GRAY_CELLS[:, :3] = np.arange(256).astype("S3").view(np.uint8).reshape(256, 3)
+GRAY_CELLS = GRAY_CELLS.view(np.uint32).ravel()
 
 
 def format_float(x: float) -> str:
@@ -54,7 +60,7 @@ def float_bytes(values: np.ndarray) -> np.ndarray:
     # holds 10^(5 - e), then the fraction test, then |e|
     scaled = np.abs(x)
     in_range = (scaled >= 1e-99) & (scaled < 1e99)
-    scaled[~in_range] = 1.0
+    np.copyto(scaled, 1.0, where=~in_range)
     # |x| = scaled 10^(e - 5) with scaled in [1e5, 1e6), up to the rounding
     # of log10 at a power of ten, which rint and the carry absorb
     exponent = np.log10(scaled)
@@ -67,24 +73,30 @@ def float_bytes(values: np.ndarray) -> np.ndarray:
     exact &= in_range
     mantissa = np.rint(scaled, out=scaled)
     carry = mantissa == 1e6
-    mantissa[carry] = 1e5
-    exponent[carry] += 1.0
-    # the six digits of the mantissa, then the two of the exponent
+    np.copyto(mantissa, 1e5, where=carry)
+    exponent += carry
+    # the six digits of the mantissa, then the two of the exponent, last
+    # digit first; a floor division and a multiply-subtract are exact on
+    # these integers and cost a tenth of a divmod
     mantissa *= 100.0
     mantissa += np.abs(exponent, out=work)
     digits = mantissa.astype(np.uint32)
 
     out = np.tile(FLOAT_TEMPLATE, (x.size, 1))
     for column in (11, 10, 7, 6, 5, 4, 3, 1):
-        digits, digit = np.divmod(digits, 10)
-        out[:, column] += digit
-    out[exponent < 0, 9] = ord("-")
-    out[x < 0, 0] = ord("-")
+        quotient = digits // 10
+        digits -= quotient * 10
+        out[:, column] += digits.astype(np.uint8)
+        digits = quotient
+    # the exponent's "+" (43) becomes "-" (45), and the sign byte "-" or NUL
+    out[:, 9] += 2 * (exponent < 0).view(np.uint8)
+    out[:, 0] = ord("-") * (x < 0).view(np.uint8)
     rest = ~exact
-    out[rest] = np.array(
-        [format_float(v).encode() for v in x[rest].tolist()],
-        dtype=f"S{FLOAT_WIDTH}",
-    ).view(np.uint8).reshape(-1, FLOAT_WIDTH)
+    if rest.any():
+        out[rest] = np.array(
+            [format_float(v).encode() for v in x[rest].tolist()],
+            dtype=f"S{FLOAT_WIDTH}",
+        ).view(np.uint8).reshape(-1, FLOAT_WIDTH)
     return out
 
 
@@ -206,11 +218,10 @@ def stability_pgm(stability_map: StabilityMap) -> str:
     clipped = np.minimum(stability_map.modulus, 2.0)
     gray = np.rint(255.0 * clipped / 2.0).astype(int)
     height, width = gray.shape
-    buf = np.empty((height, width, 4), np.uint8)
-    buf[:, :, :3] = GRAY_DIGITS[gray[::-1]]
-    buf[:, :, 3] = ord(" ")
-    buf[:, -1, 3] = ord("\n")
-    text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    cells = GRAY_CELLS[gray[::-1]]
+    # each row's last space becomes its newline
+    cells.view(np.uint8).reshape(height, width, 4)[:, -1, 3] = ord("\n")
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
     return f"P2\n{width} {height}\n255\n" + text
 
 

@@ -173,6 +173,24 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_write_atomic_nested_writes_keep_their_own_bytes(tmp_path):
+    # a trajectory and its digest share a stem; the digest written while
+    # the trajectory's temporary file is open, as a second process writing
+    # the same cache might, must not take that file
+    npy = tmp_path / "burgers-ref-every16.npy"
+    digest = npy.with_suffix(".sha256")
+
+    def write_trajectory(handle):
+        handle.write(b"trajectory")
+        analysis._write_atomic(digest, lambda inner: inner.write(b"digest"))
+
+    analysis._write_atomic(npy, write_trajectory)
+    assert npy.read_bytes() == b"trajectory"
+    assert digest.read_bytes() == b"digest"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "burgers-ref-every16.npy", "burgers-ref-every16.sha256"]
+
+
 def count_integrations(monkeypatch):
     """Record the fine step of every reference integration: every batch
     that is not given the reference's states."""

@@ -861,6 +861,22 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, argv,
     assert [p.name for p in tmp_path.iterdir()] == [directory]
 
 
+@pytest.mark.parametrize("out, shown", [(".", "."), ("/", "/"), ("", ".")],
+                         ids=["dot", "root", "empty"])
+def test_out_path_without_a_name_exits_2(tmp_path, monkeypatch, capsys, out,
+                                         shown):
+    # a sweep names its per-norm files by extending --out's name; a path
+    # with no name is a directory, and both commands say so alike
+    monkeypatch.chdir(tmp_path)
+    for argv in (["sweep", "--problem", "burgers", "--resolutions", "1",
+                  "--t-final", "0.005"],
+                 ["stability", "--variant", "ga", "--resolution", "3"]):
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"icnlab: error: --out: {shown!r} is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["x" * 300 + ".csv", "full"],
                          ids=["name-too-long", "write-fails"])
 def test_output_os_error_exits_2(tmp_path, capsys, name):

@@ -82,6 +82,27 @@ def test_float_bytes_match_format_float(values):
     assert kernel_strings(values) == [format_float(x) for x in values]
 
 
+def test_float_bytes_seeded_sample_matches_format_float():
+    # about 10^5 values: mantissas in [1, 10) at every exponent from
+    # subnormal to 1e307, both signs, the 0.9999995 * 10^k values that
+    # carry to the next power and their neighbours, signed zeros, inf and
+    # nan; each row, ended by a newline, spells format_float's string
+    rng = np.random.default_rng(20261020)
+    sample = rng.uniform(1.0, 10.0, 90_000) * 10.0 ** rng.integers(
+        -320, 308, 90_000)
+    carries = 0.9999995 * 10.0 ** np.arange(-320.0, 308.0)
+    values = np.concatenate([
+        sample, carries, np.nextafter(carries, 0.0),
+        np.nextafter(carries, np.inf), [0.0, np.inf, np.nan],
+    ])
+    values = np.concatenate([values, -values])
+    rows = np.empty((values.size, FLOAT_WIDTH + 1), np.uint8)
+    rows[:, :FLOAT_WIDTH] = float_bytes(values)
+    rows[:, FLOAT_WIDTH] = ord("\n")
+    text = rows.tobytes().translate(None, b"\0").decode("ascii")
+    assert text == "".join(f"{format_float(x)}\n" for x in values.tolist())
+
+
 def test_format_compact_two_significant_digits():
     assert format_compact(1.8e-4) == "1.8E-4"
     assert format_compact(0.000185025) == "1.9E-4"
@@ -253,6 +274,29 @@ def stability_maps(draw):
 def test_map_renderers_match_per_point_oracles(stability_map):
     assert csv_text(stability_map) == plain_stability_csv(stability_map)
     assert stability_pgm(stability_map) == plain_stability_pgm(stability_map)
+
+
+@pytest.mark.parametrize("width", [7, 13, 20])
+def test_stability_pgm_every_gray_level(width):
+    # |g| = 2g/255 for every gray level g, then 2.5, inf and 0, repeated
+    # to fill whole rows; at these widths rows end on cells of one, two
+    # and three digits
+    levels = np.concatenate([2.0 * np.arange(256) / 255.0,
+                             [2.5, np.inf, 0.0]])
+    height = -(-levels.size // width)
+    modulus = np.resize(levels, (height, width))
+    stability_map = StabilityMap(
+        variant=SchemeVariant.GA,
+        theta_axis=np.linspace(0.0, 1.0, width),
+        beta_axis=np.linspace(0.0, 1.2, height),
+        modulus=modulus,
+        stable_mask=modulus <= 1.0 + STABILITY_TOLERANCE,
+    )
+    text = stability_pgm(stability_map)
+    assert text == plain_stability_pgm(stability_map)
+    rows = [line.split() for line in text.splitlines()[3:]]
+    assert {int(cell) for row in rows for cell in row} == set(range(256))
+    assert {len(row[-1]) for row in rows} == {1, 2, 3}
 
 
 def block_lines(stability_map):
