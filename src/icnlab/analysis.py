@@ -450,9 +450,8 @@ def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
 def _write_atomic(path: Path, write) -> None:
     """``write(handle)`` into a temporary file that then replaces ``path``,
     so a reader never sees a partial file; if either step fails, the
-    temporary file is removed and the error raised.  The temporary file is
-    named by ``path`` and the process, so no two files, and no two
-    processes writing one cache, share it."""
+    temporary file, named by ``path`` and the process id so that no two
+    writers share it, is removed and the error raised."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:

@@ -3,19 +3,18 @@
 All formats are fixed byte-for-byte: fixed float formatting, fixed row
 order, newline line endings.  A stability map's text is laid out in uint8
 buffers in which zero bytes stand for nothing and are dropped by one
-bytes.translate: one buffer for the PGM, gathered from GRAY_CELLS in one
-indexing, and one per block of theta rows for the CSV, each at most
-CSV_BLOCK bytes and written as it is made.  The
-CSV's bytes that do not depend on theta are laid out once and copied
-under every theta.  Its floats come from ``float_bytes``, all of
-them before the first block, so that a map too large for memory fails
-before its file is opened.  The row for each value holds exactly the
-bytes of ``format_float``.  A value of magnitude in [1e-99, 1e99) is
-scaled to six integer digits in float arithmetic, off by less than 1e-9,
-and rounded; its digits then come by exact integer floor division, with
-no boolean-mask pass over the rows.  Within 1e-6 of a rounding tie that error could pick the
-wrong side, so such a value, like every zero, subnormal, non-finite or
-larger one, is formatted by ``format_float`` itself.
+bytes.translate: one buffer for the PGM, one gather from GRAY_CELLS, and
+one per block of theta rows for the CSV, each at most CSV_BLOCK bytes and
+written as it is made.  The CSV's bytes that do not depend on theta are
+laid out once and copied under every theta.  Its floats come from
+``float_bytes``, all of them before the first block, so that a map too
+large for memory fails before its file is opened.  The row for each value
+holds exactly the bytes of ``format_float``.  A value of magnitude in
+[1e-99, 1e99) is scaled to six integer digits in float arithmetic, off by
+less than 1e-9, rounded, and split into digits by integer floor division,
+with no boolean-mask pass.  Within 1e-6 of a rounding tie that error could
+pick the wrong side, so such a value, like every zero, subnormal,
+non-finite or larger one, is formatted by ``format_float`` itself.
 """
 from __future__ import annotations
 
@@ -37,9 +36,8 @@ FLOAT_TEMPLATE = np.frombuffer(b"\x000.00000e+00\x00", np.uint8)
 # the most bytes of stability_csv's rows in one block: 24 theta rows of
 # 121 points
 CSV_BLOCK = 128 * 1024
-# the PGM's cells, one uint32 per gray level 0 .. 255: its decimal digits,
-# NUL-padded to three bytes, and a space; built by copies, not integer
-# ufuncs, whose first run at import costs resident memory
+# the PGM's gray levels 0 .. 255, a uint32 each: three NUL-padded decimal
+# digits and a space, copied in (integer ufuncs at import cost memory)
 GRAY_CELLS = np.full((256, 4), ord(" "), np.uint8)
 GRAY_CELLS[:, :3] = np.arange(256).astype("S3").view(np.uint8).reshape(256, 3)
 GRAY_CELLS = GRAY_CELLS.view(np.uint32).ravel()
@@ -75,9 +73,8 @@ def float_bytes(values: np.ndarray) -> np.ndarray:
     carry = mantissa == 1e6
     np.copyto(mantissa, 1e5, where=carry)
     exponent += carry
-    # the six digits of the mantissa, then the two of the exponent, last
-    # digit first; a floor division and a multiply-subtract are exact on
-    # these integers and cost a tenth of a divmod
+    # the six digits of the mantissa, then the two of the exponent, each by
+    # an exact // and multiply-subtract, a tenth of divmod's cost
     mantissa *= 100.0
     mantissa += np.abs(exponent, out=work)
     digits = mantissa.astype(np.uint32)
