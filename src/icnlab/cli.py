@@ -292,7 +292,7 @@ def _outputs(args) -> dict[str, tuple[str, Path]]:
     if args.command != "sweep":
         return {name: (name, getattr(args, name)) for name in ("out", "pgm")
                 if getattr(args, name, None) is not None}
-    if not args.out.name:  # ".", "" or "/", which have no name to extend
+    if args.out.name in ("", ".."):  # ".", "/" or "..": no name to extend
         raise ParameterError("out", f"{str(args.out)!r} is a directory")
     suffix = args.out.suffix or (".csv" if args.format == "csv" else ".md")
     return {norm: ("out",

@@ -861,8 +861,9 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, argv,
     assert [p.name for p in tmp_path.iterdir()] == [directory]
 
 
-@pytest.mark.parametrize("out, shown", [(".", "."), ("/", "/"), ("", ".")],
-                         ids=["dot", "root", "empty"])
+@pytest.mark.parametrize("out, shown", [(".", "."), ("/", "/"), ("", "."),
+                                        ("..", "..")],
+                         ids=["dot", "root", "empty", "dot-dot"])
 def test_out_path_without_a_name_exits_2(tmp_path, monkeypatch, capsys, out,
                                          shown):
     # a sweep names its per-norm files by extending --out's name; a path
