@@ -7,6 +7,11 @@ only what no library call sees, such as --norms and the output paths, and
 raises the same error; a failed write, or arrays too large for memory, also
 exit 2.  Every number written to disk comes from the library calls
 unchanged.
+
+``main`` parses a command with a parser of that command's arguments alone,
+whose help and errors are its subparser's in ``build_parser``.  The whole
+tree is built only for the top-level help, a missing or unknown command and
+arguments the command does not take.
 """
 from __future__ import annotations
 
@@ -53,25 +58,7 @@ def flag(parameter: str) -> str:
     return FLAGS.get(parameter, "--" + parameter.replace("_", "-"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # every parser formats its help at the width HelpFormatter would read
-    # from the terminal itself, read here once rather than per argument
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = argparse.ArgumentParser(
-        prog="icnlab",
-        formatter_class=formatter,
-        description=(
-            "Iterated Crank-Nicolson lab: periodic 1-D test problems, "
-            "weighted two-iteration schemes, stability maps, and "
-            "convergence tables."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="single integration to CSV",
-                         formatter_class=formatter)
+def _fill_run(run: argparse.ArgumentParser) -> None:
     run.add_argument("--problem", required=True, choices=list(PROBLEMS))
     run.add_argument("--scheme", required=True, choices=VARIANTS)
     run.add_argument("--n", required=True, type=int, help="grid size")
@@ -83,9 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t-final", type=float, default=1.0)
     run.add_argument("--out", required=True, type=Path)
     run.set_defaults(func=cmd_run)
+    for name in THETA_NAMES:
+        run.add_argument(flag(name), dest=name, type=float, default=None)
 
-    sweep = sub.add_parser("sweep", help="convergence tables per norm",
-                           formatter_class=formatter)
+
+def _fill_sweep(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--problem", required=True, choices=list(PROBLEMS))
     sweep.add_argument("--schemes", default="icn,theta,swapped,ga,aa",
                        help="comma-separated scheme list")
@@ -110,13 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path; the norm name is inserted before "
                             "the extension, one file per norm")
     sweep.set_defaults(func=cmd_sweep)
-    for command in (run, sweep):
-        for name in THETA_NAMES:
-            command.add_argument(flag(name), dest=name, type=float,
-                                 default=None)
+    for name in THETA_NAMES:
+        sweep.add_argument(flag(name), dest=name, type=float, default=None)
 
-    stab = sub.add_parser("stability", help="amplification-factor map",
-                          formatter_class=formatter)
+
+def _fill_stability(stab: argparse.ArgumentParser) -> None:
     stab.add_argument("--variant", required=True, choices=VARIANTS)
     stab.add_argument("--theta-min", type=float, default=0.0)
     stab.add_argument("--theta-max", type=float, default=1.0)
@@ -128,7 +115,51 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write a P2 heatmap here")
     stab.set_defaults(func=cmd_stability)
 
+
+# each command's help line and the function that adds its arguments
+COMMANDS = {"run": ("single integration to CSV", _fill_run),
+            "sweep": ("convergence tables per norm", _fill_sweep),
+            "stability": ("amplification-factor map", _fill_stability)}
+
+
+def _formatter():
+    # every parser formats its help at the width HelpFormatter would read
+    # from the terminal itself, read once per parser rather than per argument
+    return functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    formatter = _formatter()
+    parser = argparse.ArgumentParser(
+        prog="icnlab",
+        formatter_class=formatter,
+        description=(
+            "Iterated Crank-Nicolson lab: periodic 1-D test problems, "
+            "weighted two-iteration schemes, stability maps, and "
+            "convergence tables."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, fill) in COMMANDS.items():
+        fill(sub.add_parser(name, help=help_, formatter_class=formatter))
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, from the named command's parser
+    alone when it takes every argument; the top parser reports the rest."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        command = argparse.ArgumentParser(prog=f"icnlab {argv[0]}",
+                                          formatter_class=_formatter())
+        COMMANDS[argv[0]][1](command)
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _items(args, name: str, known) -> list[str]:
@@ -319,11 +350,14 @@ def _check_output(name: str, path: Path) -> tuple | Path | None:
     try:
         st = path.stat()
     except (FileNotFoundError, NotADirectoryError):
-        if not path.parent.is_dir():
-            raise ParameterError(
-                name, f"no directory {str(path.parent)!r} for {path.name}"
-            ) from None
-        return path.resolve()
+        # a dangling symlink's own directory exists, its target's may not
+        resolved = path.resolve()
+        for parent in (path.parent, resolved.parent):
+            if not parent.is_dir():
+                raise ParameterError(
+                    name, f"no directory {str(parent)!r} for {path.name}"
+                ) from None
+        return resolved
     except OSError as err:
         raise ParameterError(name, str(err)) from err
     if stat.S_ISDIR(st.st_mode):
@@ -340,8 +374,7 @@ def _sized_by(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         # fail before any work, not after a whole sweep; the command writes
         # the files checked here, and a second output to one file would

@@ -613,7 +613,8 @@ def test_sweep_t_final_help_reads_the_builders_defaults(monkeypatch):
 
 
 @pytest.mark.parametrize("columns", ["50", "200"])
-def test_help_is_what_the_default_formatter_writes(monkeypatch, columns):
+def test_help_is_what_the_default_formatter_writes(monkeypatch, capsys,
+                                                   columns):
     # the width build_parser reads once is the one each HelpFormatter would
     # read for itself, on the top parser and on every command
     monkeypatch.setenv("COLUMNS", columns)
@@ -622,6 +623,12 @@ def test_help_is_what_the_default_formatter_writes(monkeypatch, columns):
         given = each.format_help()
         each.formatter_class = argparse.HelpFormatter
         assert each.format_help() == given, each.prog
+    # main parses a command with that command's own parser, whose help is
+    # its subparser's
+    for name, command in _commands_of(build_parser()).items():
+        with pytest.raises(SystemExit):
+            cli._parse([name, "-h"])
+        assert capsys.readouterr().out == command.format_help(), name
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -839,6 +846,59 @@ def test_main_returns_exit_code_in_process(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+STABILITY = ["stability", "--variant", "ga", "--resolution", "3", "--out",
+             "m.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["swe"], ["-h", "sweep"],
+    ["--foo", "sweep"], ["run", "-h"], ["sweep", "-h"], ["stability", "-h"],
+    # a missing required flag, a bad choice, a bad int
+    ["stability", "--out", "m.csv"],
+    ["run", "--problem", "cubic", "--scheme", "icn", "--n", "8", "--out",
+     "o.csv"],
+    ["stability", "--variant", "ga", "--resolution", "x", "--out", "m.csv"],
+    # arguments the command does not take
+    STABILITY + ["--bogus"], STABILITY + ["stray"], STABILITY + ["--", "x"],
+    # abbreviated long options
+    ["stability", "--var", "ga", "--res", "5", "--out", "m.csv"],
+], ids=lambda argv: " ".join(argv) or "no-argv")
+def test_main_parses_as_the_whole_parser_does(tmp_path, monkeypatch, capsys,
+                                              argv):
+    # main builds only the named command's parser; its exit code, output
+    # and messages are the ones the whole tree gives
+    monkeypatch.chdir(tmp_path)
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+    given = outcome()
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: build_parser().parse_args(argv))
+    assert outcome() == given
+
+
+@pytest.mark.parametrize("flag_", ["--out", "--pgm"])
+def test_output_through_a_dangling_symlink_exits_2(tmp_path, monkeypatch,
+                                                   capsys, flag_):
+    # the link's own directory exists, its target's does not: a usage error
+    # before any work, as for a path in a missing directory
+    monkeypatch.chdir(tmp_path)
+    Path("dang").symlink_to("nodir/m.pgm")
+    outputs = {"--out": "m.csv", "--pgm": "m.pgm", flag_: "dang"}
+    argv = ["stability", "--variant", "ga", "--resolution", "3"]
+    for option, path in outputs.items():
+        argv += [option, path]
+    assert main(argv) == 2
+    missing = str(tmp_path.resolve() / "nodir")
+    assert capsys.readouterr().err == (
+        f"icnlab: error: {flag_}: no directory {missing!r} for dang\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["dang"]
+
+
 @pytest.mark.parametrize("argv, flag_, directory", [
     (["run", "--problem", "linear", "--scheme", "icn", "--n", "8",
       "--t-final", "0", "--out", "o.csv"], "--out", "o.csv"),
@@ -1014,6 +1074,15 @@ def _argvs(draw):
                 or draw(st.integers(0, 3)) == 0):
             argv.append(f"{flag}={draw(_values(action))}")
     return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_parse_gives_the_whole_parsers_namespace(argv):
+    # by repr, in which a nan flag value equals itself
+    def fields(args):
+        return sorted((name, repr(value)) for name, value in vars(args).items())
+    assert fields(cli._parse(argv)) == fields(build_parser().parse_args(argv))
 
 
 def _steps(t_final, dt):
