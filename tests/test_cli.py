@@ -875,10 +875,10 @@ def test_main_parses_as_the_whole_parser_does(tmp_path, monkeypatch, capsys,
         except SystemExit as exc:
             code = exc.code
         return code, *capsys.readouterr()
-    given = outcome()
+    own = outcome()
     monkeypatch.setattr(cli, "_parse",
                         lambda argv: build_parser().parse_args(argv))
-    assert outcome() == given
+    assert outcome() == own
 
 
 @pytest.mark.parametrize("flag_", ["--out", "--pgm"])
@@ -888,10 +888,8 @@ def test_output_through_a_dangling_symlink_exits_2(tmp_path, monkeypatch,
     # before any work, as for a path in a missing directory
     monkeypatch.chdir(tmp_path)
     Path("dang").symlink_to("nodir/m.pgm")
-    outputs = {"--out": "m.csv", "--pgm": "m.pgm", flag_: "dang"}
-    argv = ["stability", "--variant", "ga", "--resolution", "3"]
-    for option, path in outputs.items():
-        argv += [option, path]
+    argv = STABILITY + ["--pgm", "m.pgm"]
+    argv[argv.index(flag_) + 1] = "dang"
     assert main(argv) == 2
     missing = str(tmp_path.resolve() / "nodir")
     assert capsys.readouterr().err == (
