@@ -22,14 +22,15 @@ is integrated again and both files rewritten, the digest last, after the
 batch and before any table.  The final state is written next to them as
 ``burgers-ref-....csv``, an output derived from the trajectory's last row
 that the library never reads back (perfbench's cache check does); it is
-rewritten unless it already holds exactly those bytes.
+rewritten unless it already holds exactly those bytes.  Each file is
+replaced whole by output.write_files, the one writer of every output.
 ``burgers_reference``, the final state alone, is the same batch with the
 reference row alone; it reads and writes no file.
 """
 from __future__ import annotations
 
+import io
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,7 @@ from tokenize import TokenError
 import numpy as np
 
 from .core import DivergenceError, Grid1D, ParameterError
+from .output import NORM_KEYS, write_files
 from .problems import (
     VISCOSITY,
     Problem,
@@ -63,9 +65,6 @@ class NormTriple:
 
     def get(self, key: str) -> float:
         return getattr(self, key)
-
-
-NORM_KEYS = ("l1", "l2", "linf")
 
 
 def observed_order(e_coarse: float, e_fine: float) -> float:
@@ -447,22 +446,6 @@ def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
     return states
 
 
-def _write_atomic(path: Path, write) -> None:
-    """``write(handle)`` into a temporary file that then replaces ``path``,
-    so a reader never sees a partial file; if either step fails, the
-    temporary file, named by ``path`` and the process id so that no two
-    writers share it, is removed and the error raised."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            write(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _final_state_csv(grid: Grid1D, final: np.ndarray) -> bytes:
     """``x,u`` rows with 17 significant digits, enough to give back every
     float64 value exactly."""
@@ -496,21 +479,24 @@ def _reference_trajectory(
         f"-nu{viscosity!r}"
     )
     path = Path(cache_dir) / f"{name}-every{cadence}.npy"
+    path.parent.mkdir(parents=True, exist_ok=True)
     states = _read_trajectory(path, (steps // cadence, grid.n_cells))
     if states is None:
-        states = _burgers_batch(*args, None, cells)
+        states = np.ascontiguousarray(_burgers_batch(*args, None, cells))
+        header = io.BytesIO()  # np.save's bytes: this, then the states
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(states))
+        write_files([("cache_dir", path, (header.getvalue(), states))])
         # the digest goes last: a trajectory replaced without it is a miss,
         # never a hit
-        _write_atomic(path, lambda handle: np.save(handle, states))
-        digest = _states_digest(states)
-        _write_atomic(path.with_suffix(".sha256"),
-                      lambda handle: handle.write(digest))
+        write_files([("cache_dir", path.with_suffix(".sha256"),
+                      (_states_digest(states),))])
     elif cells:
         _burgers_batch(*args, states, cells)
     csv = path.with_name(f"{name}.csv")
     content = _final_state_csv(grid, states[-1])
     if not (csv.is_file() and csv.read_bytes() == content):
-        _write_atomic(csv, lambda handle: handle.write(content))
+        write_files([("cache_dir", csv, (content,))])
     return states
 
 

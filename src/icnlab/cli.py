@@ -6,7 +6,8 @@ validates its inputs and names the parameter at fault in a ParameterError;
 only what no library call sees, such as --norms and the output paths, and
 raises the same error; a failed write, or arrays too large for memory, also
 exit 2.  Every number written to disk comes from the library calls
-unchanged.
+unchanged.  A command returns its outputs rendered and writes none of them;
+``main`` writes them all or none (output.write_files).
 
 ``main`` parses a command with a parser of that command's arguments alone,
 whose help and errors are its subparser's in ``build_parser``.  The whole
@@ -212,7 +213,7 @@ def _problem(args, **burgers_only):
     return PROBLEMS[args.problem]()
 
 
-def cmd_run(args, outputs) -> int:
+def cmd_run(args, outputs) -> dict:
     problem = _problem(args, dt=args.dt)
     (scheme,) = _schemes(args, "scheme")
     grid = Grid1D(args.n)
@@ -240,11 +241,10 @@ def cmd_run(args, outputs) -> int:
         reference = analysis.burgers_reference(
             args.n, dt_fine, args.t_final, problem.viscosity
         )
-    _write(*outputs["out"], output.solution_csv(grid, final, reference))
-    return EXIT_OK
+    return {"out": output.solution_csv(grid, final, reference)}
 
 
-def cmd_sweep(args, outputs) -> int:
+def cmd_sweep(args, outputs) -> dict:
     schemes = _schemes(args, "schemes")
     resolutions = None
     if args.resolutions is not None:
@@ -269,20 +269,15 @@ def cmd_sweep(args, outputs) -> int:
         ))
 
     try:
-        if spec.cache_dir is not None:
-            Path(spec.cache_dir).mkdir(parents=True, exist_ok=True)
-        # the reference cache is the one file a sweep writes before its
-        # tables, so a failed write leaves no table behind
+        # the reference cache is made and read here, before the tables
         result = analysis.run_sweep(spec)
     except OSError as err:
         raise ParameterError("cache_dir", str(err)) from err
     render = output.sweep_csv if args.format == "csv" else output.sweep_markdown
-    for norm, (name, path) in outputs.items():
-        _write(name, path, render(result, norm))
-    return EXIT_OK
+    return {norm: render(result, norm) for norm in outputs}
 
 
-def cmd_stability(args, outputs) -> int:
+def cmd_stability(args, outputs) -> dict:
     variant = SchemeVariant(args.variant)
     name = PARAMETER[variant]
     # the map's theta axis is the variant's parameter; a weight of theta,
@@ -310,10 +305,8 @@ def cmd_stability(args, outputs) -> int:
                     key=lambda b: abs(getattr(args, b)))
         raise ParameterError(bound, "|g| is not a number on this map; its "
                                     "bounds are too large")
-    _write(*outputs["out"], output.stability_csv(stability_map))
-    if "pgm" in outputs:
-        _write(*outputs["pgm"], output.stability_pgm(stability_map))
-    return EXIT_OK
+    render = {"out": output.stability_csv, "pgm": output.stability_pgm}
+    return {key: render[key](stability_map) for key in outputs}
 
 
 def _outputs(args) -> dict[str, tuple[str, Path]]:
@@ -329,16 +322,6 @@ def _outputs(args) -> dict[str, tuple[str, Path]]:
     return {norm: ("out",
                    args.out.with_name(f"{args.out.stem}_{norm}{suffix}"))
             for norm in _items(args, "norms", NORM_KEYS)}
-
-
-def _write(name: str, path: Path, content) -> None:
-    """Write ``content``, as output.write_text takes it, to ``path``,
-    which flag ``name`` gives; a failed write is a usage error on that
-    flag."""
-    try:
-        output.write_text(path, content)
-    except OSError as err:
-        raise ParameterError(name, str(err)) from err
 
 
 def _check_output(name: str, path: Path) -> tuple | Path | None:
@@ -376,9 +359,8 @@ def _sized_by(args) -> str | None:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        # fail before any work, not after a whole sweep; the command writes
-        # the files checked here, and a second output to one file would
-        # replace the first
+        # fail before any work, not after a whole sweep; a second output to
+        # one file would replace the first
         outputs = _outputs(args)
         files = {}
         for name, path in outputs.values():
@@ -388,7 +370,9 @@ def main(argv=None) -> int:
                                            f"of {flag(files[file])}")
             if file is not None:
                 files[file] = name
-        return args.func(args, outputs)
+        output.write_files([(*outputs[key], text) for key, text
+                            in args.func(args, outputs).items()])
+        return EXIT_OK
     except ParameterError as err:
         print(f"icnlab: error: {flag(err.parameter)}: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,8 +7,8 @@ bytes.translate: one buffer for the PGM, one gather from GRAY_CELLS, and
 one per block of theta rows for the CSV, each at most CSV_BLOCK bytes and
 written as it is made.  The CSV's bytes that do not depend on theta are
 laid out once and copied under every theta.  Its floats come from
-``float_bytes``, all of them before the first block, so that a map too
-large for memory fails before its file is opened.  The row for each value
+``float_bytes``, all of them before the first block, and the blocks go to
+a temporary file that keeps the old output intact.  The row for each value
 holds exactly the bytes of ``format_float``.  A value of magnitude in
 [1e-99, 1e99) is scaled to six integer digits in float arithmetic, off by
 less than 1e-9, rounded, and split into digits by integer floor division,
@@ -19,16 +19,18 @@ non-finite or larger one, is formatted by ``format_float`` itself.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import NORM_KEYS, SweepResult
-from .core import Grid1D
+from .core import Grid1D, ParameterError
 from .stability import StabilityMap
 
 FAILED_CELL = "DIVERGED"
+# the error norms, in the order of every norm tuple and of a sweep's files
+NORM_KEYS = ("l1", "l2", "linf")
 # bytes of format_float's longest string, "-1.79769e+308"
 FLOAT_WIDTH = 13
 # the layout of float_bytes' rows: a sign byte, "0.00000e+00", a pad byte
@@ -119,8 +121,8 @@ def solution_csv(
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(result: SweepResult, norm_key: str) -> str:
-    """One norm, all schemes: rows grouped in scheme blocks."""
+def sweep_csv(result, norm_key: str) -> str:
+    """One norm of a SweepResult, all schemes, in scheme blocks."""
     lines = [f"scheme,resolution,{norm_key},order"]
     for table in result.tables:
         label = table.scheme.label()
@@ -138,8 +140,9 @@ def sweep_csv(result: SweepResult, norm_key: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_markdown(result: SweepResult, norm_key: str) -> str:
-    """Paper-style layout: one row per resolution, value/order per scheme."""
+def sweep_markdown(result, norm_key: str) -> str:
+    """A SweepResult in the paper's layout: one row per resolution,
+    value/order per scheme."""
     res_header = "dt divisor" if result.spec.is_burgers else "N"
     norm_name = {"l1": "L1", "l2": "L2", "linf": "Linf"}[norm_key]
     header = [res_header]
@@ -225,8 +228,34 @@ def stability_pgm(stability_map: StabilityMap) -> str:
 def write_text(path: str | Path, content: str | Iterable[bytes]) -> None:
     """Write a text, or blocks of bytes in the order they come, to
     ``path`` byte for byte (no platform newline translation).  Every file
-    an output flag names is written here."""
+    is written here, by ``write_files``."""
     if isinstance(content, str):
         content = (content.encode("utf-8"),)
     with open(path, "wb") as file:
         file.writelines(content)
+
+
+def write_files(files) -> None:
+    """Write each (parameter, path, content for ``write_text``) of
+    ``files``, all or none.  A regular or missing file, or the one a
+    symlink resolves to, gets its bytes in ``<name>.<pid>.tmp`` beside it,
+    renamed over it once every write has succeeded; any other file, such
+    as a device or a pipe, is written in place, in order.  On any failure
+    the temporary files are removed; an OSError is raised as a
+    ParameterError on the failing file's parameter."""
+    renames = []
+    try:
+        for name, path, content in files:
+            if os.path.isfile(path) or not os.path.exists(path):
+                file = os.path.realpath(path) if os.path.islink(path) else path
+                path = f"{file}.{os.getpid()}.tmp"
+                renames.append((name, path, file))
+            write_text(path, content)
+        for name, temporary, file in renames:
+            os.replace(temporary, file)
+    except BaseException as err:
+        for _, temporary, _ in renames:
+            Path(temporary).unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise ParameterError(name, str(err)) from err
+        raise

@@ -22,10 +22,11 @@ R(z) = 1 + z + c2 z^2 + c3 z^3 with (c2, c3) = (s w2, s w1 w2)
 (period_coefficients).  Its local error is dt^2 (s w2 - 1/2) L'(u) L(u),
 so it is second order iff s w2 = 1/2: ga meets that at every theta1,
 theta's and swapped's errors +-(theta - 1/2) mirror each other, and aa's
-pair of steps cancels its error (theta - 1/2) + (1/2 - theta).  A
-Fourier mode gains the factor R(-2i beta) (stability.amplification); the
-stability module docstring defines beta and states where swapped is
-unstable.
+pair of steps cancels its error (theta - 1/2) + (1/2 - theta).  On a
+linear L, s w2 = 1/2 and s w1 w2 = 1/6 make R match e^z to third order,
+as ga does at theta1 = 1/3.  A Fourier mode gains the factor R(-2i beta)
+(stability.amplification); the stability module docstring defines beta
+and states where swapped is unstable.
 
 One loop, ``_run``, advances every step, and ``_run_row`` is its one-row
 case; their docstrings state the rules.

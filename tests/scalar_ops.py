@@ -1,8 +1,9 @@
 """Oracles that the library is checked against, written as plainly as
 possible: the centered difference operators node by node, with an
 explicit periodic wrap, and on whole states with np.roll; the closed-form
-linear-advection stencil of a step; and the error norms of one state.
-The three-point u_xx, which no library operator takes, is here too.
+linear-advection stencil of a step; linear advection exact in time on the
+grid; and the error norms of one state.  The three-point u_xx, which no
+library operator takes, is here too.
 """
 from __future__ import annotations
 
@@ -96,6 +97,17 @@ def linear_stencil(
         + c2 * courant * courant * delta2_array(u)
         - c3 * courant * courant * courant * delta3_array(u)
     )
+
+
+def semi_discrete_advection(n: int, t: float) -> np.ndarray:
+    """sin^2(pi x) on n nodes at time t of u_t = -d1 u / (2 dx), the linear
+    problem's right-hand side at speed 1, solved exactly in time: a Fourier
+    mode of k dx = 2 pi m / n gains exp(lambda t), lambda = -i sin(k dx) /
+    dx.  A scheme's difference from this is its time error alone."""
+    k_dx = 2.0 * np.pi * np.fft.fftfreq(n)
+    growth = np.exp(-1j * np.sin(k_dx) * n * t)
+    initial = np.sin(np.pi * np.arange(n) / n) ** 2
+    return np.fft.ifft(np.fft.fft(initial) * growth).real
 
 
 def error_norms(numerical: np.ndarray, reference: np.ndarray) -> NormTriple:

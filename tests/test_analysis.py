@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icnlab import analysis
+from icnlab import analysis, output
 from icnlab.analysis import (
     SweepSpec,
     advection_sweep,
@@ -173,18 +174,18 @@ def test_burgers_reference_recomputes_corrupt_cache(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_write_atomic_nested_writes_keep_their_own_bytes(tmp_path):
+def test_write_files_nested_writes_keep_their_own_bytes(tmp_path):
     # a trajectory and its digest share a stem; the digest written while
     # the trajectory's temporary file is open, as a second process writing
     # the same cache might, must not take that file
     npy = tmp_path / "burgers-ref-every16.npy"
     digest = npy.with_suffix(".sha256")
 
-    def write_trajectory(handle):
-        handle.write(b"trajectory")
-        analysis._write_atomic(digest, lambda inner: inner.write(b"digest"))
+    def trajectory():
+        yield b"trajectory"
+        output.write_files([("cache_dir", digest, "digest")])
 
-    analysis._write_atomic(npy, write_trajectory)
+    output.write_files([("cache_dir", npy, trajectory())])
     assert npy.read_bytes() == b"trajectory"
     assert digest.read_bytes() == b"digest"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -227,6 +228,32 @@ def test_trajectory_file_matches_final_csv_and_fresh_run(tmp_path):
     assert fresh.tobytes() == states.tobytes()
     alone = burgers_reference(30, dt_fine, 0.015625)
     assert alone.tobytes() == final.tobytes()
+
+
+def test_trajectory_file_holds_np_saves_bytes(tmp_path):
+    # the trajectory is written as its header and then its states' buffer,
+    # byte for byte what np.save writes, so a cache that np.save wrote is a
+    # hit
+    grid = Grid1D(30)
+    states = analysis._reference_trajectory(
+        grid, 0.5 * grid.dx**2 / 32, 0.015625, 0.01, 4, tmp_path)
+    (npy,) = tmp_path.glob("*.npy")
+    saved = io.BytesIO()
+    np.save(saved, states)
+    assert npy.read_bytes() == saved.getvalue()
+
+
+def test_uncreatable_cache_dir_fails_before_the_batch(tmp_path, monkeypatch):
+    # the cache directory is made before any read or batch, so a library
+    # caller whose directory cannot be made integrates nothing
+    def batch(*args, **kwargs):
+        pytest.fail("the batch ran")
+    monkeypatch.setattr(analysis, "_burgers_batch", batch)
+    (tmp_path / "file").write_bytes(b"")
+    spec = burgers_sweep([ICN], dt_divisors=(1, 2), t_final=0.004,
+                         dt_base=0.001, cache_dir=tmp_path / "file" / "c")
+    with pytest.raises(NotADirectoryError):
+        run_sweep(spec)
 
 
 def test_burgers_sweeps_without_cache_carry_no_state(monkeypatch):
@@ -303,6 +330,19 @@ def burgers_small_result(burgers_cache):
     return run_sweep(burgers_sweep([ICN, SchemeConfig.aa(0.6)],
                                    dt_divisors=(1, 2),
                                    cache_dir=burgers_cache))
+
+
+def test_ga_third_burgers_table_is_below_icns(burgers_cache):
+    # ga(1/3) is third order in time on linear problems and stays second
+    # order on Burgers, with a smaller error constant: every cell of the
+    # default table is below icn's (Linf at divisor 4: 1.3e-8, 9.7e-8)
+    result = run_sweep(burgers_sweep([ICN, SchemeConfig.ga(1 / 3)],
+                                     cache_dir=burgers_cache))
+    icn, ga = result.tables
+    for icn_row, ga_row in zip(icn.rows, ga.rows):
+        for key in analysis.NORM_KEYS:
+            assert ga_row.norms.get(key) < icn_row.norms.get(key), (
+                icn_row.resolution_label, key)
 
 
 def test_run_sweep_burgers_divergence_marked():

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import inspect
 import io
@@ -1000,6 +1001,95 @@ def test_stability_out_and_pgm_on_one_pipe(tmp_path):
     assert proc.stdout == csv_out.read_text() + pgm_out.read_text()
 
 
+def failing_write(k):
+    """An output.write_text whose k-th call writes part of its file and
+    then fails as a full disk does, and the list of the paths it was
+    given."""
+    write, calls = output.write_text, []
+
+    def write_text(path, content):
+        calls.append(path)
+        if len(calls) == k:
+            with open(path, "wb") as file:
+                file.write(b"part")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        write(path, content)
+    return write_text, calls
+
+
+BURGERS_SWEEP = ["sweep", "--problem", "burgers", "--schemes", "icn",
+                 "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+                 "1,2", "--out", "t.csv"]
+SWEEP_FILES = ["t_l1.csv", "t_l2.csv", "t_linf.csv"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "file"])
+@pytest.mark.parametrize("argv, flag_, names", [
+    (["stability", "--variant", "ga", "--resolution", "5", "--out", "m.csv",
+      "--pgm", "m.pgm"], "--pgm", ["m.csv", "m.pgm"]),
+    (BURGERS_SWEEP, "--out", SWEEP_FILES),
+], ids=["stability", "sweep"])
+def test_write_failing_in_the_second_output_changes_no_output(
+        tmp_path, monkeypatch, capsys, argv, flag_, names, existing):
+    # a write that fails part-way through the second output is a usage
+    # error on its flag, and every output is left as it was: written all or
+    # none
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        for name in names:
+            Path(name).write_bytes(b"earlier output\n")
+    write_text, calls = failing_write(2)
+    monkeypatch.setattr(output, "write_text", write_text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"icnlab: error: {flag_}: ")
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        names if existing else [])
+    for name in names if existing else ():
+        assert Path(name).read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("case", ["stability-pgm", "sweep-linf-link"])
+def test_output_on_a_full_device_leaves_no_other_output(tmp_path, monkeypatch,
+                                                       capsys, case):
+    # an output on a device that takes no bytes is written in place, after
+    # the other outputs' temporary files, and its failure removes them
+    full = Path("/dev/full")
+    if not full.exists():
+        pytest.skip("no /dev/full on this system")
+    monkeypatch.chdir(tmp_path)
+    if case == "stability-pgm":
+        argv = ["stability", "--variant", "ga", "--resolution", "11",
+                "--out", "x.csv", "--pgm", str(full)]
+        flag_, left = "--pgm", []
+    else:
+        Path("t_linf.csv").symlink_to(full)
+        argv, flag_, left = BURGERS_SWEEP, "--out", ["t_linf.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"icnlab: error: {flag_}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+    assert all(Path(name).is_symlink() for name in left)
+
+
+@pytest.mark.parametrize("target", ["m.csv", "new.csv"],
+                         ids=["file", "dangling"])
+def test_symlinked_output_stays_a_link(tmp_path, monkeypatch, target):
+    # the file that a symlinked --out names is replaced, or made, and the
+    # link is left a link to it
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    Path("dir/m.csv").write_bytes(b"earlier output\n")
+    Path("link.csv").symlink_to(f"dir/{target}")
+    argv = ["stability", "--variant", "ga", "--resolution", "5", "--out"]
+    assert main(argv + ["link.csv"]) == 0
+    assert main(argv + ["plain.csv"]) == 0
+    assert Path("link.csv").is_symlink()
+    assert os.readlink("link.csv") == f"dir/{target}"
+    assert Path("dir", target).read_bytes() == Path("plain.csv").read_bytes()
+    assert sorted(p.name for p in Path("dir").iterdir()) == sorted(
+        {"m.csv", target})
+
+
 @pytest.mark.parametrize("argv, where", [
     (["run", "--problem", "linear", "--scheme", "icn", "--t-final",
       "5e-15"], "--n: "),
@@ -1197,31 +1287,51 @@ def _valid_argvs(draw):
     return argv
 
 
-def _keeps_exit_code_contract(argv):
+def _keeps_exit_code_contract(argv, fail_at):
     """0, 2 or 3 and no exception; a usage error names a flag and writes
-    no output file."""
-    with tempfile.TemporaryDirectory() as tmp:
+    no output file.  With ``fail_at``, the write of that number fails
+    part-way (failing_write), if the command gets that far, and the
+    command exits 2."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        write_text, calls = failing_write(fail_at)
+        patch.setattr(output, "write_text", write_text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([a.format(tmp=tmp) for a in argv])
         assert code in (0, 2, 3), argv
+        failed = fail_at is not None and len(calls) >= fail_at
+        assert code == 2 or not failed, (argv, fail_at)
         if code == 2:
             assert err.getvalue().startswith("icnlab: error: --"), (
                 argv, err.getvalue())
-            written = [p for p in Path(tmp).rglob("*") if p.is_file()]
+            # the reference cache is written before the tables, one file
+            # at a time, and is valid without them: a write that fails
+            # after it may leave it
+            cache = Path(tmp, "cache")
+            written = [p for p in Path(tmp).rglob("*") if p.is_file()
+                       and not (failed and cache in p.parents)]
             assert written == [], argv
+            assert list(Path(tmp).rglob("*.tmp")) == [], argv
     return code
 
 
+# the write to fail: none, the first, the second, or a sweep's first
+# table after the three files of its reference cache
+FAIL_AT = st.sampled_from([None, 1, 2, 4])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(argv=_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT))
-def test_main_keeps_exit_code_contract_on_generated_argvs(argv):
+@given(argv=_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT),
+       fail_at=FAIL_AT)
+def test_main_keeps_exit_code_contract_on_generated_argvs(argv, fail_at):
     # any argv the parser accepts, built from its own actions
-    _keeps_exit_code_contract(argv)
+    _keeps_exit_code_contract(argv, fail_at)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(argv=_valid_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT))
-def test_main_keeps_exit_code_contract_on_valid_argvs(argv):
+@given(argv=_valid_argvs().filter(lambda argv: _work(argv) <= WORK_LIMIT),
+       fail_at=FAIL_AT)
+def test_main_keeps_exit_code_contract_on_valid_argvs(argv, fail_at):
     # argvs that mostly run, at the edges of the valid values
-    _keeps_exit_code_contract(argv)
+    _keeps_exit_code_contract(argv, fail_at)

@@ -29,6 +29,7 @@ from scalar_ops import (
     error_norms,
     linear_stencil,
     second_derivative_array,
+    semi_discrete_advection,
 )
 
 LINEAR = linear_advection()
@@ -653,3 +654,26 @@ def test_burgers_global_orders(burgers_orders, difference, order):
     norms = [np.abs(difference(*final)).max() for final in burgers_orders]
     rates = [math.log2(a / b) for a, b in zip(norms, norms[1:])]
     assert rates == pytest.approx([order] * 3, abs=0.1), rates
+
+
+@pytest.mark.parametrize("scheme, order", [
+    (ICN, 2),
+    (SchemeConfig.theta_icn(0.6), 1),
+    (SchemeConfig.swapped_theta_icn(0.6), 1),
+    (SchemeConfig.ga(0.6), 2),
+    (SchemeConfig.aa(0.6), 2),
+    # s w2 = 1/2 and s w1 w2 = theta1 / 2 = 1/6: R(z) is e^z to O(z^4)
+    (SchemeConfig.ga(1 / 3), 3),
+], ids=["icn", "theta", "swapped", "ga", "aa", "ga-third"])
+def test_linear_time_order(scheme, order):
+    # linear advection on N = 64 to t = 0.5 at dt = t / 40 ... t / 320,
+    # against the exact solution in time on the same grid, so the error is
+    # the time error alone; each halving of dt divides its max norm by
+    # 2^order (measured within 0.01 of it; ga(1/3) 3.15e-5 to 6.15e-8)
+    grid, t = Grid1D(64), 0.5
+    exact = semi_discrete_advection(64, t)
+    errors = [np.abs(integrate(initial_condition(grid), scheme,
+                               LINEAR.array_rhs(grid), t / d, d)
+                     - exact).max() for d in (40, 80, 160, 320)]
+    rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert rates == pytest.approx([order] * 3, abs=0.05), rates
