@@ -420,7 +420,9 @@ def _states_digest(states: np.ndarray) -> bytes:
         from _sha2 import sha256
     else:
         from _sha256 import sha256
-    return f"{sha256(states.tobytes()).hexdigest()}\n".encode()
+    # hashed from the buffer: ascontiguousarray copies only an array that
+    # is not in C order, such as np.load's from a Fortran-ordered .npy
+    return f"{sha256(np.ascontiguousarray(states)).hexdigest()}\n".encode()
 
 
 def _read_trajectory(path: Path, shape: tuple[int, int]) -> np.ndarray | None:

@@ -240,9 +240,11 @@ def write_files(files) -> None:
     ``files``, all or none.  A regular or missing file, or the one a
     symlink resolves to, gets its bytes in ``<name>.<pid>.tmp`` beside it,
     renamed over it once every write has succeeded; any other file, such
-    as a device or a pipe, is written in place, in order.  On any failure
-    the temporary files are removed; an OSError is raised as a
-    ParameterError on the failing file's parameter."""
+    as a device or a pipe, is written in place, in order.  A replaced file
+    keeps its permission bits, but it is a new file: a hard link to the old
+    one keeps the old bytes.  On any failure the temporary files are
+    removed; an OSError is raised as a ParameterError on the failing file's
+    parameter."""
     renames = []
     try:
         for name, path, content in files:
@@ -252,6 +254,10 @@ def write_files(files) -> None:
                 renames.append((name, path, file))
             write_text(path, content)
         for name, temporary, file in renames:
+            try:
+                os.chmod(temporary, os.stat(file).st_mode & 0o7777)
+            except FileNotFoundError:
+                pass  # a new output keeps a new file's mode
             os.replace(temporary, file)
     except BaseException as err:
         for _, temporary, _ in renames:

@@ -1,20 +1,18 @@
 """Explicit predictor-corrector (iterated Crank-Nicolson) time steppers.
 
 Five variants over a generic right-hand-side operator L.  Every one is the
-same two-iteration step with averaging weights (w1, s, w2):
+same two-iteration step with averaging weights (w1, s, w2): from u- = u,
+one pass with (h, w) = (dt, w1) and one with (s dt, w2),
 
-    predict   u~ = u + dt L(u)
-    average   u- = w1 u~ + (1 - w1) u
-    predict   u~ = u + (s dt) L(u-)
-    average   u- = w2 u~ + (1 - w2) u
-    update    u' = u + dt L(u-)
+    predict   u~ = u + h L(u-)
+    average   u- = w u~ + (1 - w) u
 
-and the variants differ only in the weights, which the one table WEIGHTS
-gives per variant, parameter and step parity.  icn is the classical
-scheme; theta and swapped weight by theta; ga constrains the geometric
-mean of its averaging weights to 1/2, with a second predictor of 2 theta1
-dt to stay time-centred; aa alternates the theta step between theta_odd
-and 1 - theta_odd (arithmetic mean 1/2).
+and then the update u' = u + dt L(u-).  The variants differ only in the
+weights, which the one table WEIGHTS gives per variant, parameter and step
+parity.  icn is the classical scheme; theta and swapped weight by theta;
+ga constrains the geometric mean of its averaging weights to 1/2, with a
+second predictor of 2 theta1 dt to stay time-centred; aa alternates the
+theta step between theta_odd and 1 - theta_odd (arithmetic mean 1/2).
 
 Read as a Runge-Kutta method, the step has nodes c = (0, w1, s w2), a21 =
 w1, a32 = s w2 and b = (0, 0, 1).  Its stability polynomial is
@@ -46,35 +44,32 @@ ArrayOperator = Callable[[np.ndarray], np.ndarray]
 
 
 def _factors(dt: float, w1: float, s: float, w2: float) -> tuple:
-    """The factors (dt, w1, 1 - w1, s dt, w2, 1 - w2) of _step."""
-    return dt, w1, 1.0 - w1, s * dt, w2, 1.0 - w2
+    """The factors (h, w, 1 - w) of _step's passes, a triple a pass."""
+    return (dt, w1, 1.0 - w1), (s * dt, w2, 1.0 - w2)
 
 
-def _step(u: np.ndarray, f: ArrayOperator, dt, w1, v1, sdt, w2, v2):
-    """One two-iteration step with weights (w1, s, w2), from their factors
-    (_factors), which _run computes once per run.
+def _step(u: np.ndarray, f: ArrayOperator, *passes):
+    """One step from the factors of its passes (_factors), which _run
+    computes once per run: the passes and the update of the module
+    docstring, the update with the first pass's h, dt.
 
-    The statements of the step in the module docstring, evaluated in the
-    same order and updated in place, so the bits are those of the plain
-    expressions: x * dt is dt * x in IEEE arithmetic.  f must return a
-    fresh array on every call, which the step owns and scales in place.
-    This is the one statement of that rule: the array forms of the problems
-    return fresh arrays, and _run_row copies what its f returns.
+    They are evaluated in that order and updated in place, so the bits are
+    those of the plain expressions: x * dt is dt * x in IEEE arithmetic.
+    f must return a fresh array on every call, which the step owns and
+    scales in place.  This is the one statement of that rule: the array
+    forms of the problems return fresh arrays, and _run_row copies what its
+    f returns.
     """
-    ut = f(u)
-    ut *= dt
-    ut += u
-    ut *= w1
-    ub = v1 * u
-    ub += ut
-    ut = f(ub)
-    ut *= sdt
-    ut += u
-    ut *= w2
-    ub = v2 * u
-    ub += ut
+    ub = u
+    for h, w, v in passes:
+        ut = f(ub)
+        ut *= h
+        ut += u
+        ut *= w
+        ub = v * u
+        ub += ut
     out = f(ub)
-    out *= dt
+    out *= passes[0][0]
     out += u
     return out
 
@@ -267,12 +262,13 @@ def _run(
     distinct = list(dict.fromkeys(parities))
     spread = np.repeat(np.array([
         table[p][row] for parity in distinct for row, p in enumerate(parity)
-    ]).T, n, axis=-1)
+    ]).transpose(1, 2, 0), n, axis=-1)
     by_rows, factors, start = {}, {}, 0
     for parity in distinct:
         m = len(parity)
-        factors[parity] = tuple(spread[:, start * n:(start + m) * n].reshape(
-            (6,) + (m,) * (u.ndim - 1) + (n,)))
+        factors[parity] = tuple(map(tuple, spread[
+            ..., start * n:(start + m) * n].reshape(
+                (2, 3) + (m,) * (u.ndim - 1) + (n,))))
         start += m
         if m not in by_rows:
             by_rows[m] = f if strides is None else f(m)

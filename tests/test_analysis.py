@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +243,23 @@ def test_trajectory_file_holds_np_saves_bytes(tmp_path):
     saved = io.BytesIO()
     np.save(saved, states)
     assert npy.read_bytes() == saved.getvalue()
+
+
+def test_states_digest_hashes_the_states_without_a_copy():
+    # a C-ordered trajectory is hashed from its own buffer: a copy of this
+    # one would take 864,000 bytes.  A Fortran-ordered one has the digest
+    # of its states in C order.
+    states = np.arange(3600 * 30, dtype=np.float64).reshape(3600, 30)
+    expected = f"{hashlib.sha256(states.tobytes()).hexdigest()}\n".encode()
+    assert analysis._states_digest(np.asfortranarray(states)) == expected
+    tracemalloc.start()
+    try:
+        digest = analysis._states_digest(states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert peak < 64 * 1024
 
 
 def test_uncreatable_cache_dir_fails_before_the_batch(tmp_path, monkeypatch):

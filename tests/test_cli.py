@@ -482,6 +482,27 @@ def test_sweep_recomputes_trajectory_without_matching_digest(
     )
 
 
+def test_sweep_reads_a_fortran_ordered_trajectory_cache(tmp_path,
+                                                       monkeypatch):
+    # np.load gives a Fortran-ordered array for a Fortran-ordered .npy; its
+    # states in C order are the digest's, so the cache stays a hit
+    calls = count_integrations(monkeypatch)
+    cache = tmp_path / "cache"
+    args = ["sweep", "--problem", "burgers", "--schemes", "icn,ga",
+            "--dt-base", "0.001", "--t-final", "0.004", "--resolutions",
+            "1,2", "--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "c.csv")]) == 0
+    (path,) = cache.glob("*.npy")
+    np.save(path, np.asfortranarray(np.load(path)))
+    assert np.load(path).flags.f_contiguous
+    calls.clear()
+    assert main(args + ["--out", str(tmp_path / "f.csv")]) == 0
+    assert calls == []
+    for norm in ("l1", "l2", "linf"):
+        assert (tmp_path / f"f_{norm}.csv").read_bytes() == (
+            tmp_path / f"c_{norm}.csv").read_bytes()
+
+
 def test_sweep_diverging_reference_exits_3(tmp_path, capsys):
     # the reference runs at dt_base / 32 = 0.2, where ICN on this grid
     # blows up at step 5; the failure names the step and no table is written
@@ -1088,6 +1109,26 @@ def test_symlinked_output_stays_a_link(tmp_path, monkeypatch, target):
     assert Path("dir", target).read_bytes() == Path("plain.csv").read_bytes()
     assert sorted(p.name for p in Path("dir").iterdir()) == sorted(
         {"m.csv", target})
+
+
+@pytest.mark.parametrize("out", ["m.csv", "link.csv"],
+                         ids=["file", "symlink"])
+def test_replaced_output_keeps_its_mode(tmp_path, monkeypatch, out):
+    # a rerun that changes an output's bytes replaces the file, and the new
+    # file takes the old one's permission bits, through a symlink too; a
+    # new output gets the mode of any new file
+    monkeypatch.chdir(tmp_path)
+    Path("m.csv").write_bytes(b"earlier output\n")
+    os.chmod("m.csv", 0o640)
+    Path("link.csv").symlink_to("m.csv")
+    argv = ["stability", "--variant", "ga", "--resolution", "5", "--out"]
+    assert main(argv + [out]) == 0
+    assert main(argv + ["new.csv"]) == 0
+    assert Path("m.csv").read_bytes() == Path("new.csv").read_bytes()
+    assert Path("link.csv").is_symlink()
+    assert os.stat("m.csv").st_mode & 0o7777 == 0o640
+    Path("plain").write_bytes(b"")
+    assert os.stat("new.csv").st_mode == os.stat("plain").st_mode
 
 
 @pytest.mark.parametrize("argv, where", [
