@@ -420,8 +420,8 @@ def _states_digest(states: np.ndarray) -> bytes:
         from _sha2 import sha256
     else:
         from _sha256 import sha256
-    # hashed from the buffer: ascontiguousarray copies only an array that
-    # is not in C order, such as np.load's from a Fortran-ordered .npy
+    # sha256 reads a C-contiguous buffer in place, and only an array that
+    # is not one (np.load's of a Fortran-ordered .npy) is copied
     return f"{sha256(np.ascontiguousarray(states)).hexdigest()}\n".encode()
 
 

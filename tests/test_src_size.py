@@ -42,3 +42,8 @@ def test_table_of_two_trees_reads_before_and_after():
         "| `perfbench/run.py` | 0 → 1 | 0 → 1 | 0 → 0 |",
         "| **`perfbench/` total** | **0 → 1** | **0 → 1** | **0 → 0** |",
     ]
+
+
+def test_a_root_without_the_library_is_an_error(tmp_path, capsys):
+    assert src_size.main([str(tmp_path)]) == 2
+    assert "no src/icnlab under" in capsys.readouterr().err

@@ -75,6 +75,10 @@ def main(argv: list[str]) -> int:
     if len(roots) > 2:
         print("usage: src_size.py [ROOT] [OTHER_ROOT]", file=sys.stderr)
         return 2
+    for root in roots:
+        if not (Path(root) / GROUPS[0]).is_dir():
+            print(f"src_size.py: no {GROUPS[0]} under {root}", file=sys.stderr)
+            return 2
     print(table(*(sizes(Path(root)) for root in roots)))
     return 0
 
