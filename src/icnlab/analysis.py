@@ -113,9 +113,9 @@ def burgers_dt(n_cells: int) -> float:
     return 0.5 * Grid1D(n_cells).dx ** 2
 
 
-def advection_dt(problem: Problem, n_cells: int, cfl: float = CFL) -> float:
-    """Advection time step cfl dx / |a| on the n_cells grid."""
-    return cfl * Grid1D(n_cells).dx / abs(problem.advection_speed)
+def advection_dt(n_cells: int, cfl: float = CFL) -> float:
+    """Advection time step cfl dx on the n_cells grid (unit speed)."""
+    return cfl * Grid1D(n_cells).dx
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,6 @@ class SweepSpec:
                     f"the reference divisor {REFERENCE_DIVISOR} must be a "
                     "multiple of every dt divisor",
                 )
-        elif self.problem.advection_speed == 0.0:
-            raise ParameterError(
-                "problem", "advection speed must be nonzero for a CFL sweep"
-            )
         elif self.resolutions[0] < 4:
             raise ParameterError("resolutions",
                                  "grid sizes must be at least 4")
@@ -207,7 +203,7 @@ class SweepSpec:
         """Time step of the cells at one grid size or dt divisor."""
         if self.is_burgers:
             return self.base_dt / resolution
-        return advection_dt(self.problem, resolution, self.cfl)
+        return advection_dt(resolution, self.cfl)
 
 
 def advection_sweep(

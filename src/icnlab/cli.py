@@ -64,7 +64,7 @@ def _fill_run(run: argparse.ArgumentParser) -> None:
     run.add_argument("--scheme", required=True, choices=VARIANTS)
     run.add_argument("--n", required=True, type=int, help="grid size")
     run.add_argument("--cfl", type=float, default=None,
-                     help="advection problems: dt = cfl dx / |a| "
+                     help="advection problems: dt = cfl dx "
                           f"(default {analysis.CFL:g})")
     run.add_argument("--dt", type=float, default=None,
                      help="burgers: time step (default 0.5 dx^2)")
@@ -218,7 +218,7 @@ def cmd_run(args, outputs) -> dict:
     (scheme,) = _schemes(args, "scheme")
     grid = Grid1D(args.n)
     if problem.has_exact:
-        dt = analysis.advection_dt(problem, args.n, **_given(cfl=args.cfl))
+        dt = analysis.advection_dt(args.n, **_given(cfl=args.cfl))
     else:
         dt = args.dt if args.dt is not None else analysis.burgers_dt(args.n)
     # dt comes from --cfl or --dt, and only here is it known which

@@ -242,14 +242,21 @@ def write_files(files) -> None:
     renamed over it once every write has succeeded; any other file, such
     as a device or a pipe, is written in place, in order.  A replaced file
     keeps its permission bits, but it is a new file: a hard link to the old
-    one keeps the old bytes.  On any failure the temporary files are
-    removed; an OSError is raised as a ParameterError on the failing file's
-    parameter."""
-    renames = []
+    one keeps the old bytes.  A second entry that resolves to the file of
+    an earlier one, by any spelling, would share its temporary file: it is
+    a ParameterError on its parameter, before any rename.  On any failure
+    the temporary files are removed; an OSError is raised as a
+    ParameterError on the failing file's parameter."""
+    renames, targets = [], {}
     try:
         for name, path, content in files:
             if os.path.isfile(path) or not os.path.exists(path):
-                file = os.path.realpath(path) if os.path.islink(path) else path
+                target = os.path.realpath(path)
+                if target in targets:
+                    raise ParameterError(name, f"{str(path)!r} is also the "
+                                               f"file of {targets[target]}")
+                targets[target] = name
+                file = target if os.path.islink(path) else path
                 path = f"{file}.{os.getpid()}.tmp"
                 renames.append((name, path, file))
             write_text(path, content)

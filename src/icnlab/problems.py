@@ -23,24 +23,18 @@ class ProblemKind(str, Enum):
 class Problem:
     """A PDE u_t = L(u) with an optional closed-form solution.
 
-    kinds:
-      linear      u_t + a u_x = 0
-      semilinear  u_t + u_x = -u^2        (unit advection speed, fixed)
+    kinds, the two advection problems at the paper's unit speed:
+      linear      u_t + u_x = 0
+      semilinear  u_t + u_x = -u^2
       burgers     u_t + (u^2/2)_x = nu u_xx
     """
 
     kind: ProblemKind
-    advection_speed: float = 1.0
     viscosity: float = 0.0
 
     def __post_init__(self):
         if self.kind is ProblemKind.BURGERS and not self.viscosity > 0.0:
             raise ValueError("Burgers viscosity must be positive")
-        if (
-            self.kind is ProblemKind.SEMILINEAR_ADVECTION
-            and self.advection_speed != 1.0
-        ):
-            raise ValueError("semilinear problem has unit advection speed")
 
     @property
     def has_exact(self) -> bool:
@@ -67,33 +61,25 @@ class Problem:
         # Each form does the arithmetic of its np.roll statement (core) in
         # the same order, on fresh temporaries updated in place; with d =
         # u_{j+1} - u_{j-1}, -d / (2 dx) is d / (-2 dx) to the bit.  The
-        # advection forms need only d, so they take shifts.difference, which
+        # advection form needs only d, so it takes shifts.difference, which
         # stacks no neighbour array; Burgers needs both neighbours for its
         # diffusion term.  The constants are 0-d arrays, because numpy
         # converts a Python float operand on every call, at N = 30 half
         # again the arithmetic's cost.
         dx = grid.dx
-        difference = shifts.difference
-        if self.kind is ProblemKind.LINEAR_ADVECTION:
-            speed, two_dx = np.array(-self.advection_speed), np.array(2.0 * dx)
-
-            def linear_rhs(v: np.ndarray) -> np.ndarray:
-                out = difference(v)
-                out *= speed
-                out /= two_dx
-                return out
-
-            return linear_rhs
         minus_two_dx = np.array(-2.0 * dx)
-        if self.kind is ProblemKind.SEMILINEAR_ADVECTION:
+        if self.has_exact:
+            difference = shifts.difference
+            semilinear = self.kind is ProblemKind.SEMILINEAR_ADVECTION
 
-            def semilinear_rhs(v: np.ndarray) -> np.ndarray:
+            def advection_rhs(v: np.ndarray) -> np.ndarray:
                 out = difference(v)
                 out /= minus_two_dx
-                out -= v * v
+                if semilinear:
+                    out -= v * v
                 return out
 
-            return semilinear_rhs
+            return advection_rhs
         gather = shifts.gather
         half, two = np.array(0.5), np.array(2.0)
         dx2, viscosity = np.array(dx * dx), np.array(self.viscosity)
@@ -121,14 +107,14 @@ class Problem:
         """Closed-form solution at (x, t); x may be a scalar or an array."""
         if not self.has_exact:
             raise ValueError("no closed-form exact solution")
-        s = np.sin(np.pi * (x - self.advection_speed * t)) ** 2
+        s = np.sin(np.pi * (x - t)) ** 2
         if self.kind is ProblemKind.LINEAR_ADVECTION:
             return s
         return s / (1.0 + t * s)
 
 
-def linear_advection(speed: float = 1.0) -> Problem:
-    return Problem(ProblemKind.LINEAR_ADVECTION, advection_speed=speed)
+def linear_advection() -> Problem:
+    return Problem(ProblemKind.LINEAR_ADVECTION)
 
 
 def semilinear_advection() -> Problem:

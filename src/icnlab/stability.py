@@ -2,7 +2,7 @@
 
 A Fourier mode acquires a complex factor g per step; |g| <= 1 for every
 mode means the scheme is stable.  The mode enters only through
-beta = R sin(k dx) with R = a dt / (2 dx), so maps are scanned over beta
+beta = R sin(k dx) with R = dt / (2 dx), so maps are scanned over beta
 directly.  Every variant's factor is ``amplification`` of the (c2, c3) that
 schemes.period_coefficients reads from the weight table, multiplied over
 one period of the weights: one step, or aa's pair of steps.

@@ -363,7 +363,7 @@ def test_linear_linf_orders(linear_result):
 def snapshot_error(spec, scheme, n):
     """Signed nodal error of the advection-sweep cell (scheme, n) of spec."""
     grid = Grid1D(n)
-    dt = spec.cfl * grid.dx / abs(spec.problem.advection_speed)
+    dt = spec.cfl * grid.dx
     final = integrate(
         initial_condition(grid), scheme, spec.problem.array_rhs(grid), dt,
         steps_for(spec.t_final, dt),
@@ -377,18 +377,17 @@ def linear_error_amplitude(spec, n, w1, s_w2):
     sin^2(pi x) = 1/2 - Re(e^{2 pi i x}) / 2 is a single Fourier mode.  A
     step with weights (w1, s, w2) multiplies it by
     g = 1 - 2i beta - 4 s w2 beta^2 + 8i s w1 w2 beta^3 with
-    beta = R sin(2 pi dx) and R = a dt / (2 dx), while the exact solution
-    turns it by e^{-2 pi i a t}; the error at node x_j is
+    beta = R sin(2 pi dx) and R = dt / (2 dx), while the exact solution
+    turns it by e^{-2 pi i t}; the error at node x_j is
     -Re(c e^{2 pi i x_j}) / 2.
     """
     grid = Grid1D(n)
-    speed = spec.problem.advection_speed
-    dt = spec.cfl * grid.dx / abs(speed)
-    beta = speed * dt / (2.0 * grid.dx) * math.sin(2.0 * math.pi * grid.dx)
+    dt = spec.cfl * grid.dx
+    beta = dt / (2.0 * grid.dx) * math.sin(2.0 * math.pi * grid.dx)
     g = 1 - 2j * beta - 4 * s_w2 * beta**2 + 8j * w1 * s_w2 * beta**3
     return (
         g ** steps_for(spec.t_final, dt)
-        - np.exp(-2j * np.pi * speed * spec.t_final)
+        - np.exp(-2j * np.pi * spec.t_final)
     )
 
 

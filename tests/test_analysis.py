@@ -387,8 +387,8 @@ def test_sweep_spec_validation():
         burgers_sweep([ICN], dt_divisors=(1, 5))
     with pytest.raises(ValueError, match="use burgers_sweep"):
         advection_sweep(burgers(), [ICN])
-    with pytest.raises(ValueError, match="nonzero"):
-        advection_sweep(linear_advection(0.0), [ICN])
+    with pytest.raises(ValueError, match="at least one resolution"):
+        advection_sweep(linear_advection(), [ICN], resolutions=())
 
 
 @pytest.mark.parametrize(

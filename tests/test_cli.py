@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import icnlab
 from icnlab import analysis, cli, output
 from icnlab.cli import EXIT_NUMERICAL, VARIANTS, build_parser, flag, main
-from icnlab.problems import linear_advection
 from icnlab.schemes import PARAMETER, SchemeVariant
 
 
@@ -1233,9 +1232,8 @@ def _work(argv):
             return 0
         if args.problem != "burgers":
             cfl = analysis.CFL if args.cfl is None else args.cfl
-            return args.n * _steps(
-                args.t_final,
-                analysis.advection_dt(linear_advection(), args.n, cfl))
+            return args.n * _steps(args.t_final,
+                                   analysis.advection_dt(args.n, cfl))
         base = analysis.burgers_dt(args.n)
         dt = base if args.dt is None else args.dt
         return args.n * (_steps(args.t_final, dt) + _steps(
@@ -1247,9 +1245,8 @@ def _work(argv):
     # up to five schemes run at each resolution
     if args.problem != "burgers":
         cfl = analysis.CFL if args.cfl is None else args.cfl
-        return 5 * sum(r * _steps(
-            args.t_final, analysis.advection_dt(linear_advection(), r, cfl))
-            for r in resolutions if r >= 4)
+        return 5 * sum(r * _steps(args.t_final, analysis.advection_dt(r, cfl))
+                       for r in resolutions if r >= 4)
     n = args.n
     if n is None:
         n = inspect.signature(analysis.burgers_sweep).parameters[
@@ -1295,7 +1292,7 @@ def _valid_argvs(draw):
             argv.append(f"--dt={dt!r}")
         else:
             cfl = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
-            dt = analysis.advection_dt(linear_advection(), n, cfl)
+            dt = analysis.advection_dt(n, cfl)
             argv.append(f"--cfl={cfl!r}")
         argv.append(f"--t-final={steps * dt!r}")
     else:
@@ -1318,7 +1315,7 @@ def _valid_argvs(draw):
             n = draw(st.integers(4, 8))
             divisors = (n, 2 * n)
             cfl = draw(st.sampled_from([0.25, 0.5]))
-            dt = analysis.advection_dt(linear_advection(), n, cfl)
+            dt = analysis.advection_dt(n, cfl)
             argv += [f"--cfl={cfl!r}", f"--t-final={steps * dt!r}"]
         argv.append(f"--resolutions={','.join(map(str, divisors))}")
     for variant in set(schemes):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from icnlab.analysis import (
     SweepResult,
     advection_sweep,
 )
-from icnlab.core import Grid1D
+from icnlab.core import Grid1D, ParameterError
 from icnlab.output import (
     CSV_BLOCK,
     FLOAT_WIDTH,
@@ -25,6 +26,7 @@ from icnlab.output import (
     stability_pgm,
     sweep_csv,
     sweep_markdown,
+    write_files,
 )
 from icnlab.problems import linear_advection
 from icnlab.schemes import SchemeConfig, SchemeVariant
@@ -331,3 +333,39 @@ def test_stability_csv_theta_row_longer_than_a_block():
     assert 3000 * (3 * FLOAT_WIDTH + 5) > CSV_BLOCK
     assert block_lines(stability_map) == [3000, 3000]
     assert csv_text(stability_map) == plain_stability_csv(stability_map)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "file"])
+@pytest.mark.parametrize("second", ["m.csv", "./m.csv", "link.csv"])
+def test_write_files_refuses_two_entries_on_one_file(tmp_path, monkeypatch,
+                                                     existing, second):
+    # two entries that resolve to one file, by any spelling, would share one
+    # temporary file: the second is an error before any rename
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        Path("m.csv").write_bytes(b"earlier output\n")
+    Path("link.csv").symlink_to("m.csv")
+    with pytest.raises(ParameterError, match="is also the file of out") as err:
+        write_files([("out", "m.csv", "first\n"), ("pgm", second, "second\n")])
+    assert err.value.parameter == "pgm"
+    if existing:
+        assert Path("m.csv").read_bytes() == b"earlier output\n"
+    else:
+        assert not Path("m.csv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_files_memory_error_midway_keeps_the_old_output(tmp_path):
+    # an error that is not an OSError propagates as it is, after the
+    # temporary files are removed
+    old, new = tmp_path / "m.csv", tmp_path / "m.pgm"
+    old.write_bytes(b"earlier output\n")
+
+    def blocks():
+        yield b"half a map"
+        raise MemoryError("a block")
+
+    with pytest.raises(MemoryError, match="a block"):
+        write_files([("out", old, "first\n"), ("pgm", new, blocks())])
+    assert old.read_bytes() == b"earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]

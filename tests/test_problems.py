@@ -82,7 +82,7 @@ def test_rhs_translation_equivariance():
         assert np.array_equal(shifted, rolled)
 
 
-@pytest.mark.parametrize("problem", [linear_advection(2.0), burgers(0.05)])
+@pytest.mark.parametrize("problem", [linear_advection(), burgers(0.05)])
 def test_rhs_conservation(problem):
     rng = np.random.default_rng(5)
     grid = Grid1D(64)
@@ -101,17 +101,14 @@ def test_burgers_has_no_exact_solution():
 def test_problem_validation():
     with pytest.raises(ValueError):
         Problem(ProblemKind.BURGERS, viscosity=0.0)
-    with pytest.raises(ValueError):
-        Problem(ProblemKind.SEMILINEAR_ADVECTION, advection_speed=2.0)
     assert burgers(0.01).viscosity == 0.01
-    assert linear_advection(3.0).advection_speed == 3.0
 
 
 def roll_rhs(problem, v, dx):
     """L(v) for one row as the plain np.roll statement of each problem: the
     oracle for array_rhs."""
     if problem.kind is ProblemKind.LINEAR_ADVECTION:
-        return -problem.advection_speed * delta1_array(v) / (2.0 * dx)
+        return -delta1_array(v) / (2.0 * dx)
     if problem.kind is ProblemKind.SEMILINEAR_ADVECTION:
         return -delta1_array(v) / (2.0 * dx) - v * v
     flux = 0.5 * v * v
@@ -122,9 +119,8 @@ def roll_rhs(problem, v, dx):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    problem=st.sampled_from([linear_advection(), linear_advection(-2.5),
-                             semilinear_advection(), burgers(),
-                             burgers(0.3)]),
+    problem=st.sampled_from([linear_advection(), semilinear_advection(),
+                             burgers(), burgers(0.3)]),
     n=st.sampled_from([4, 5, 30, 129, 205, 1024]),
     rows=st.sampled_from([None, 1, 5]),
     decades=st.integers(0, 6),

@@ -57,9 +57,9 @@ def smooth_field(grid, seed=0):
     return v
 
 
-def courant_dt(grid, courant, speed=1.0):
-    # courant is R = a dt / (2 dx)
-    return 2.0 * courant * grid.dx / speed
+def courant_dt(grid, courant):
+    # courant is R = dt / (2 dx), at the problems' unit speed
+    return 2.0 * courant * grid.dx
 
 
 @pytest.mark.parametrize(
@@ -221,6 +221,13 @@ def test_integrate_zero_steps():
     u = smooth_field(Grid1D(8), seed=10)
     out = integrate(u, SchemeConfig.icn(), LINEAR.rhs, 0.1, 0)
     assert np.array_equal(out, u)
+
+
+def test_integrate_rejects_a_negative_step_count():
+    u = smooth_field(Grid1D(8), seed=10)
+    with pytest.raises(ParameterError, match="non-negative") as info:
+        integrate(u, ICN, LINEAR.array_rhs(Grid1D(8)), 0.1, -1)
+    assert info.value.parameter == "n_steps"
 
 
 def test_state_validation():
