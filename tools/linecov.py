@@ -15,8 +15,8 @@ the whole suite that is ``__main__.py``, the ``sys.exit(main())`` line of
 ``cli.py``, ``_items``' error on an unknown name and ``cmd_sweep``'s
 OSError from the cache directory.  So does a branch that only another
 Python version takes, such as ``analysis``' ``_sha2`` import.  The tracer
-makes the suite about half again as slow (67 s against 46 s on a shared
-2-vCPU VM), so this is a tool to run by hand, not a CI step.
+makes the suite about half again as slow (62-67 s against 35-46 s on a
+shared 2-vCPU VM), so this is a tool to run by hand, not a CI step.
 """
 import os
 import sys
