@@ -20,7 +20,6 @@ import argparse
 import functools
 import math
 import shutil
-import stat
 import sys
 from pathlib import Path
 
@@ -324,28 +323,22 @@ def _outputs(args) -> dict[str, tuple[str, Path]]:
             for norm in _items(args, "norms", NORM_KEYS)}
 
 
-def _check_output(name: str, path: Path) -> tuple | Path | None:
+def _check_output(name: str, path: Path) -> tuple | str | None:
     """A usage error on flag ``name`` unless ``path`` is a file, or is
-    missing from a directory that exists; one stat for a file that exists.
-    Returns what names the file to write: its (device, inode), or its
-    resolved path if it is missing; None for a device or a pipe, which any
-    number of outputs may share."""
+    missing from a directory that exists.  Returns its output.file_key."""
     try:
-        st = path.stat()
-    except (FileNotFoundError, NotADirectoryError):
-        # a dangling symlink's own directory exists, its target's may not
-        resolved = path.resolve()
-        for parent in (path.parent, resolved.parent):
-            if not parent.is_dir():
-                raise ParameterError(
-                    name, f"no directory {str(parent)!r} for {path.name}"
-                ) from None
-        return resolved
+        key = output.file_key(path)
     except OSError as err:
         raise ParameterError(name, str(err)) from err
-    if stat.S_ISDIR(st.st_mode):
+    if isinstance(key, str):
+        # a dangling symlink's own directory exists, its target's may not
+        for parent in (path.parent, Path(key).parent):
+            if not parent.is_dir():
+                raise ParameterError(
+                    name, f"no directory {str(parent)!r} for {path.name}")
+    elif key is None and path.is_dir():
         raise ParameterError(name, f"{str(path)!r} is a directory")
-    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+    return key
 
 
 def _sized_by(args) -> str | None:
@@ -360,7 +353,8 @@ def main(argv=None) -> int:
     args = _parse(argv)
     try:
         # fail before any work, not after a whole sweep; a second output to
-        # one file would replace the first
+        # one file would replace the first, while a device or a pipe, which
+        # has no file_key, takes any number
         outputs = _outputs(args)
         files = {}
         for name, path in outputs.values():

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -235,6 +236,19 @@ def write_text(path: str | Path, content: str | Iterable[bytes]) -> None:
         file.writelines(content)
 
 
+def file_key(path: str | Path) -> tuple | str | None:
+    """What names the file that ``path`` writes, equal for every spelling
+    of one file: a regular file's (device, inode), which its symlinks and
+    hard links share, or a missing file's resolved path.  Any other file,
+    such as a directory, a device or a pipe, is None.  An OSError of the
+    one stat, other than a missing file, is raised."""
+    try:
+        st = os.stat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def write_files(files) -> None:
     """Write each (parameter, path, content for ``write_text``) of
     ``files``, all or none.  A regular or missing file, or the one a
@@ -242,21 +256,21 @@ def write_files(files) -> None:
     renamed over it once every write has succeeded; any other file, such
     as a device or a pipe, is written in place, in order.  A replaced file
     keeps its permission bits, but it is a new file: a hard link to the old
-    one keeps the old bytes.  A second entry that resolves to the file of
-    an earlier one, by any spelling, would share its temporary file: it is
-    a ParameterError on its parameter, before any rename.  On any failure
+    one that no entry names keeps the old bytes.  A second entry with the
+    ``file_key`` of an earlier one would share its temporary file: it is a
+    ParameterError on its parameter, before any rename.  On any failure
     the temporary files are removed; an OSError is raised as a
     ParameterError on the failing file's parameter."""
-    renames, targets = [], {}
+    renames, keys = [], {}
     try:
         for name, path, content in files:
-            if os.path.isfile(path) or not os.path.exists(path):
-                target = os.path.realpath(path)
-                if target in targets:
+            key = file_key(path)
+            if key is not None:
+                if key in keys:
                     raise ParameterError(name, f"{str(path)!r} is also the "
-                                               f"file of {targets[target]}")
-                targets[target] = name
-                file = target if os.path.islink(path) else path
+                                               f"file of {keys[key]}")
+                keys[key] = name
+                file = os.path.realpath(path)
                 path = f"{file}.{os.getpid()}.tmp"
                 renames.append((name, path, file))
             write_text(path, content)

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from icnlab.core import Grid1D, ParameterError
 from icnlab.output import (
     CSV_BLOCK,
     FLOAT_WIDTH,
+    file_key,
     float_bytes,
     format_compact,
     format_float,
@@ -352,6 +354,36 @@ def test_write_files_refuses_two_entries_on_one_file(tmp_path, monkeypatch,
         assert Path("m.csv").read_bytes() == b"earlier output\n"
     else:
         assert not Path("m.csv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_file_key_names_one_file_by_any_spelling(tmp_path, monkeypatch):
+    # a regular file's spellings, symlinks and hard links share one key, a
+    # missing file's spellings share its resolved path, and a device or a
+    # directory has none
+    monkeypatch.chdir(tmp_path)
+    Path("m.csv").write_bytes(b"earlier output\n")
+    Path("link.csv").symlink_to("m.csv")
+    os.link("m.csv", "hard.csv")
+    Path("other.csv").write_bytes(b"earlier output\n")
+    keys = {file_key(path) for path in
+            ("m.csv", "./m.csv", "link.csv", "hard.csv", Path("m.csv"))}
+    assert len(keys) == 1
+    assert file_key("other.csv") not in keys
+    assert file_key("new.csv") == file_key("./new.csv") == str(
+        tmp_path.resolve() / "new.csv")
+    assert file_key(os.devnull) is None
+    assert file_key(".") is None
+
+
+def test_write_files_refuses_a_hard_link_to_an_earlier_entry(tmp_path):
+    old, hard = tmp_path / "m.csv", tmp_path / "hard.csv"
+    old.write_bytes(b"earlier output\n")
+    os.link(old, hard)
+    with pytest.raises(ParameterError, match="is also the file of out") as err:
+        write_files([("out", old, "first\n"), ("pgm", hard, "second\n")])
+    assert err.value.parameter == "pgm"
+    assert old.read_bytes() == hard.read_bytes() == b"earlier output\n"
     assert not list(tmp_path.glob("*.tmp"))
 
 
